@@ -10,9 +10,8 @@ Contours are extracted by marching squares with linear edge interpolation.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -20,6 +19,11 @@ from .linalg import hs_inner, hs_norm
 from .states import DensityMatrix
 
 STATE_EIG_TOL = 1e-10
+
+# Cells per batched eigensolve in scan_plane; bounds the complex matrix stacks
+# to a few MB whatever the resolution. eigvalsh works matrix by matrix, so the
+# block size does not change any value.
+_SCAN_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,7 @@ def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[float, float, int]) -> ScanGrid:
-    """Evaluate the spectral fields over the grid; deterministic, cell-parallel.
-
-    ENTGEO_THREADS caps the number of worker threads (default 1).
-    """
+    """Evaluate the spectral fields over the grid; deterministic, in fixed-size blocks."""
     a_min, a_max, na = a_range
     b_min, b_max, nb = b_range
     if na < 2 or nb < 2:
@@ -136,16 +137,12 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     aa, bb = np.meshgrid(a_values, b_values, indexing="ij")
     pts = np.stack([aa.ravel(), bb.ravel()], axis=1)
 
-    threads = max(1, int(os.environ.get("ENTGEO_THREADS", "1")))
-    if threads == 1 or pts.shape[0] < 4096:
-        min_eig, min_eig_pt, neg = _scan_block(plane, pts)
-    else:
-        chunks = np.array_split(pts, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _scan_block(plane, c), chunks))
-        min_eig = np.concatenate([p[0] for p in parts])
-        min_eig_pt = np.concatenate([p[1] for p in parts])
-        neg = np.concatenate([p[2] for p in parts])
+    min_eig = np.empty(len(pts))
+    min_eig_pt = np.empty(len(pts))
+    neg = np.empty(len(pts))
+    for start in range(0, len(pts), _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        min_eig[block], min_eig_pt[block], neg[block] = _scan_block(plane, pts[block])
 
     shape = (na, nb)
     return ScanGrid(
@@ -161,6 +158,22 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
 # ---------------------------------------------------------------------------
 # Marching squares
 
+# Crossings closer than this many decimals are one node: they meet when a
+# contour passes through a grid node, where the two cells' interpolations
+# differ only by rounding.
+_NODE_DECIMALS = 9
+
+# For each non-saddle case code, the two edges whose corners differ in sign
+# (edge k joins corner k and corner (k+1) % 4), lowest edge first. Cases 0
+# and 15 cross no edge and are never looked up.
+_CASE_EDGES = np.array(
+    [
+        [k for k in range(4) if ((case >> k) & 1) != ((case >> ((k + 1) % 4)) & 1)][:2]
+        or [0, 0]
+        for case in range(16)
+    ]
+)
+
 
 def _marching_squares(a_values, b_values, f):
     """Zero-level polylines of a scalar field sampled on a rectangular grid.
@@ -168,97 +181,101 @@ def _marching_squares(a_values, b_values, f):
     Corner signs pick one of 16 cases; crossings are placed by linear
     interpolation along cell edges; the two saddle cases are disambiguated by
     the cell-center average. Segments are chained into ordered polylines.
+    Only the cells the contour crosses are visited, in row-major order.
     """
-    na, nb = f.shape
-    segments = []
-
-    def same_node(p, q, decimals=9):
-        return round(p[0], decimals) == round(q[0], decimals) and round(
-            p[1], decimals
-        ) == round(q[1], decimals)
-
-    def interp(p0, p1, f0, f1):
-        t = f0 / (f0 - f1)
-        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-
-    for i in range(na - 1):
-        for j in range(nb - 1):
-            corners = (
-                (a_values[i], b_values[j], f[i, j]),
-                (a_values[i + 1], b_values[j], f[i + 1, j]),
-                (a_values[i + 1], b_values[j + 1], f[i + 1, j + 1]),
-                (a_values[i], b_values[j + 1], f[i, j + 1]),
-            )
-            vals = [c[2] for c in corners]
-            case = sum(1 << k for k, v in enumerate(vals) if v >= 0)
-            if case in (0, 15):
-                continue
-            # edge k joins corner k and corner (k+1) % 4
-            crossings = {}
-            for k in range(4):
-                f0, f1 = vals[k], vals[(k + 1) % 4]
-                if (f0 >= 0) != (f1 >= 0):
-                    p0 = corners[k][:2]
-                    p1 = corners[(k + 1) % 4][:2]
-                    crossings[k] = interp(p0, p1, f0, f1)
-            edges = sorted(crossings)
-            if len(edges) == 2:
-                p, q = crossings[edges[0]], crossings[edges[1]]
-                if not same_node(p, q):  # crossings on a shared grid node degenerate
-                    segments.append((p, q))
-            elif len(edges) == 4:
-                center_pos = sum(vals) / 4 >= 0
-                # pair crossings so the positive region stays connected iff the
-                # center sample is positive
-                if (case == 5) == center_pos:
-                    pairs = [(0, 1), (2, 3)]
-                else:
-                    pairs = [(0, 3), (1, 2)]
-                for e0, e1 in pairs:
-                    if not same_node(crossings[e0], crossings[e1]):
-                        segments.append((crossings[e0], crossings[e1]))
-    return _chain_segments(segments)
-
-
-def _chain_segments(segments, decimals=9):
-    """Join shared-endpoint segments into polylines (closed loops or open arcs)."""
-    if not segments:
+    a_values = np.asarray(a_values, dtype=float)
+    b_values = np.asarray(b_values, dtype=float)
+    f = np.asarray(f, dtype=float)
+    # corner k of cell (i, j): (i, j), (i+1, j), (i+1, j+1), (i, j+1)
+    corners = (f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:])
+    case = sum((c >= 0).astype(np.intp) << k for k, c in enumerate(corners))
+    ii, jj = np.nonzero((case != 0) & (case != 15))
+    if len(ii) == 0:
         return []
-    key = lambda p: (round(p[0], decimals), round(p[1], decimals))
-    adjacency: dict[tuple, list] = {}
-    for idx, (p, q) in enumerate(segments):
-        adjacency.setdefault(key(p), []).append((idx, q))
-        adjacency.setdefault(key(q), []).append((idx, p))
+    case = case[ii, jj]
+    vals = [c[ii, jj] for c in corners]
+    xs = (a_values[ii], a_values[ii + 1], a_values[ii + 1], a_values[ii])
+    ys = (b_values[jj], b_values[jj], b_values[jj + 1], b_values[jj + 1])
 
-    used = [False] * len(segments)
+    # crossing point on every edge of every active cell; only the edges whose
+    # ends differ in sign are used below
+    points = np.empty((4, len(ii), 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(4):
+            k1 = (k + 1) % 4
+            t = vals[k] / (vals[k] - vals[k1])
+            points[k, :, 0] = xs[k] + t * (xs[k1] - xs[k])
+            points[k, :, 1] = ys[k] + t * (ys[k1] - ys[k])
+    # numpy's rounding of float64, not Python's round() of floats: the two
+    # disagree on near-ties, which would change which crossings are joined
+    keys = np.round(points, _NODE_DECIMALS)
+
+    # up to two segments per cell, as (edge, edge) pairs
+    edges = np.zeros((len(ii), 2, 2), dtype=np.intp)
+    edges[:, 0] = _CASE_EDGES[case]
+    saddle = (case == 5) | (case == 10)
+    center_pos = (((vals[0] + vals[1]) + vals[2]) + vals[3]) / 4 >= 0
+    # pair crossings so the positive region stays connected iff the center
+    # sample is positive
+    joined = (case == 5) == center_pos
+    edges[saddle, 0] = np.where(joined[saddle, None], [0, 1], [0, 3])
+    edges[saddle, 1] = np.where(joined[saddle, None], [2, 3], [1, 2])
+    present = np.zeros((len(ii), 2), dtype=bool)
+    present[:, 0] = True
+    present[:, 1] = saddle
+
+    cell = np.arange(len(ii))[:, None, None]
+    seg_keys = keys[edges, cell]  # (cells, 2 slots, 2 ends, 2 coords)
+    # crossings on a shared grid node degenerate
+    present &= np.any(seg_keys[:, :, 0] != seg_keys[:, :, 1], axis=-1)
+    return _chain_segments(points[edges, cell][present], seg_keys[present])
+
+
+def _chain_segments(ends, keys):
+    """Join shared-endpoint segments into polylines (closed loops or open arcs).
+
+    ends[s] holds the two endpoints of segment s and keys[s] the same points
+    rounded to _NODE_DECIMALS; endpoints with equal keys are joined.
+    """
+    if len(ends) == 0:
+        return []
+    ends = ends.tolist()
+    keys = [tuple(map(tuple, k)) for k in keys.tolist()]
+    adjacency: dict[tuple, list] = {}
+    for idx, (kp, kq) in enumerate(keys):
+        adjacency.setdefault(kp, []).append((idx, 1))
+        adjacency.setdefault(kq, []).append((idx, 0))
+
+    used = [False] * len(ends)
     polylines = []
 
-    def walk(start_pt):
+    def walk(start_pt, start_key):
         line = [start_pt]
-        cur = start_pt
+        cur = start_key
         while True:
             nxt = None
-            for idx, other in adjacency.get(key(cur), ()):
+            for idx, end in adjacency.get(cur, ()):
                 if not used[idx]:
                     used[idx] = True
-                    nxt = other
+                    nxt = idx, end
                     break
             if nxt is None:
                 return line
-            line.append(nxt)
-            cur = nxt
+            line.append(ends[nxt[0]][nxt[1]])
+            cur = keys[nxt[0]][nxt[1]]
 
-    # open chains first: start from endpoints of odd degree
+    # open chains first: start from endpoints of odd degree, at the rounded
+    # node itself
     endpoints = [p for p, links in adjacency.items() if len(links) % 2 == 1]
     for ep in endpoints:
         if any(not used[idx] for idx, _ in adjacency[ep]):
-            polylines.append(walk(ep))
+            polylines.append(walk(ep, tuple(np.round(ep, _NODE_DECIMALS).tolist())))
     # remaining are closed loops
-    for idx, (p, q) in enumerate(segments):
+    for idx, (p, q) in enumerate(ends):
         if not used[idx]:
             used[idx] = True
             line = [p, q]
-            rest = walk(q)
+            rest = walk(q, keys[idx][1])
             line.extend(rest[1:])
             polylines.append(line)
     return [np.array(line) for line in polylines if len(line) >= 2]
@@ -285,12 +302,13 @@ def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
     return lines
 
 
-def _bilinear(grid: ScanGrid, f: np.ndarray, a: float, b: float) -> float:
+def _bilinear(grid: ScanGrid, f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of a grid field at arrays of (a, b) points."""
     ia = np.clip(np.searchsorted(grid.a_values, a) - 1, 0, len(grid.a_values) - 2)
     ib = np.clip(np.searchsorted(grid.b_values, b) - 1, 0, len(grid.b_values) - 2)
     ta = (a - grid.a_values[ia]) / (grid.a_values[ia + 1] - grid.a_values[ia])
     tb = (b - grid.b_values[ib]) / (grid.b_values[ib + 1] - grid.b_values[ib])
-    return float(
+    return (
         f[ia, ib] * (1 - ta) * (1 - tb)
         + f[ia + 1, ib] * ta * (1 - tb)
         + f[ia, ib + 1] * (1 - ta) * tb
@@ -298,27 +316,27 @@ def _bilinear(grid: ScanGrid, f: np.ndarray, a: float, b: float) -> float:
     )
 
 
+def _in_state_body(grid: ScanGrid, pts: np.ndarray, slack: float) -> np.ndarray:
+    return _bilinear(grid, grid.min_eig, pts[:, 0], pts[:, 1]) >= -slack
+
+
 def _restrict_to_state_body(grid: ScanGrid, lines, slack: float = 1e-6):
     """Keep only polyline points inside the state body, splitting where cut."""
     out = []
     for line in lines:
-        run = []
-        for a, b in line:
-            if _bilinear(grid, grid.min_eig, a, b) >= -slack:
-                run.append((a, b))
-            else:
-                if len(run) >= 2:
-                    out.append(np.array(run))
-                run = []
-        if len(run) >= 2:
-            out.append(np.array(run))
+        inside = np.concatenate(([False], _in_state_body(grid, line, slack), [False]))
+        # runs of inside points start and stop where the padded mask flips
+        flips = np.flatnonzero(inside[1:] != inside[:-1])
+        for start, stop in zip(flips[::2].tolist(), flips[1::2].tolist()):
+            if stop - start >= 2:
+                out.append(line[start:stop])
     return out
 
 
 def points_in_state_body(grid: ScanGrid, points, slack: float = 1e-6) -> np.ndarray:
     """Subset of (a, b) points whose interpolated min eigenvalue is nonnegative."""
-    kept = [p for p in points if _bilinear(grid, grid.min_eig, p[0], p[1]) >= -slack]
-    return np.array(kept) if kept else np.empty((0, 2))
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return pts[_in_state_body(grid, pts, slack)]
 
 
 def radial_similarity_residual(grid: ScanGrid, level: float) -> float:
@@ -354,22 +372,24 @@ def radial_similarity_residual(grid: ScanGrid, level: float) -> float:
 
 def grid_to_csv(grid: ScanGrid) -> str:
     """CSV of the grid: one row per cell, b outer / a inner, 17 significant digits."""
-    lines = ["a,b,min_eig,min_eig_pt,negativity,is_state,is_ppt"]
-    for j in range(len(grid.b_values)):
-        for i in range(len(grid.a_values)):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d"
-                % (
-                    grid.a_values[i],
-                    grid.b_values[j],
-                    grid.min_eig[i, j],
-                    grid.min_eig_pt[i, j],
-                    grid.negativity[i, j],
-                    int(grid.is_state[i, j]),
-                    int(grid.is_ppt[i, j]),
-                )
-            )
-    return "\n".join(lines) + "\n"
+    a_text = ["%.17g" % x for x in grid.a_values.tolist()]
+    flags = ("0,0", "0,1", "1,0", "1,1")
+    flag_codes = 2 * grid.is_state.astype(np.intp) + grid.is_ppt
+    # one text block per b value, so that only one grid column of Python
+    # floats and row strings is alive at a time
+    blocks = ["a,b,min_eig,min_eig_pt,negativity,is_state,is_ppt"]
+    for j, b in enumerate(grid.b_values.tolist()):
+        rows = zip(
+            a_text,
+            repeat("%.17g" % b),
+            grid.min_eig[:, j].tolist(),
+            grid.min_eig_pt[:, j].tolist(),
+            grid.negativity[:, j].tolist(),
+            [flags[c] for c in flag_codes[:, j].tolist()],
+        )
+        blocks.append("\n".join(["%s,%s,%.17g,%.17g,%.17g,%s" % row for row in rows]))
+    blocks.append("")  # trailing newline without copying the joined text
+    return "\n".join(blocks)
 
 
 def contours_to_json(entries) -> str:

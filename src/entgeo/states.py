@@ -32,11 +32,13 @@ class DensityMatrix:
 
 
 def validate_state(m, dims: tuple[int, int], tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Check Hermiticity, unit trace, and positivity; return a DensityMatrix.
+    """Check finiteness, Hermiticity, unit trace, and positivity; return a DensityMatrix.
 
     The first violated property is reported with its magnitude.
     """
     m = as_matrix(m)
+    if not np.isfinite(m).all():
+        raise ValueError("state has non-finite entries")
     da, db = dims
     if da * db != m.shape[0]:
         raise ValueError(f"dims {dims} inconsistent with matrix size {m.shape[0]}")

@@ -1,0 +1,196 @@
+"""Per-cell reference implementations of the contour and CSV export code.
+
+These are the original loop versions of ``entgeo.geometry``'s marching
+squares, segment chaining, state-body restriction and grid CSV export, kept
+unchanged as a test oracle: the vectorised library code must reproduce their
+output exactly (same polylines in the same order, same bytes).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from entgeo.geometry import ScanGrid
+
+
+def _marching_squares(a_values, b_values, f):
+    """Zero-level polylines of a scalar field sampled on a rectangular grid.
+
+    Corner signs pick one of 16 cases; crossings are placed by linear
+    interpolation along cell edges; the two saddle cases are disambiguated by
+    the cell-center average. Segments are chained into ordered polylines.
+    """
+    na, nb = f.shape
+    segments = []
+
+    def same_node(p, q, decimals=9):
+        return round(p[0], decimals) == round(q[0], decimals) and round(
+            p[1], decimals
+        ) == round(q[1], decimals)
+
+    def interp(p0, p1, f0, f1):
+        t = f0 / (f0 - f1)
+        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+    for i in range(na - 1):
+        for j in range(nb - 1):
+            corners = (
+                (a_values[i], b_values[j], f[i, j]),
+                (a_values[i + 1], b_values[j], f[i + 1, j]),
+                (a_values[i + 1], b_values[j + 1], f[i + 1, j + 1]),
+                (a_values[i], b_values[j + 1], f[i, j + 1]),
+            )
+            vals = [c[2] for c in corners]
+            case = sum(1 << k for k, v in enumerate(vals) if v >= 0)
+            if case in (0, 15):
+                continue
+            # edge k joins corner k and corner (k+1) % 4
+            crossings = {}
+            for k in range(4):
+                f0, f1 = vals[k], vals[(k + 1) % 4]
+                if (f0 >= 0) != (f1 >= 0):
+                    p0 = corners[k][:2]
+                    p1 = corners[(k + 1) % 4][:2]
+                    crossings[k] = interp(p0, p1, f0, f1)
+            edges = sorted(crossings)
+            if len(edges) == 2:
+                p, q = crossings[edges[0]], crossings[edges[1]]
+                if not same_node(p, q):  # crossings on a shared grid node degenerate
+                    segments.append((p, q))
+            elif len(edges) == 4:
+                center_pos = sum(vals) / 4 >= 0
+                # pair crossings so the positive region stays connected iff the
+                # center sample is positive
+                if (case == 5) == center_pos:
+                    pairs = [(0, 1), (2, 3)]
+                else:
+                    pairs = [(0, 3), (1, 2)]
+                for e0, e1 in pairs:
+                    if not same_node(crossings[e0], crossings[e1]):
+                        segments.append((crossings[e0], crossings[e1]))
+    return _chain_segments(segments)
+
+
+def _chain_segments(segments, decimals=9):
+    """Join shared-endpoint segments into polylines (closed loops or open arcs)."""
+    if not segments:
+        return []
+    key = lambda p: (round(p[0], decimals), round(p[1], decimals))
+    adjacency: dict[tuple, list] = {}
+    for idx, (p, q) in enumerate(segments):
+        adjacency.setdefault(key(p), []).append((idx, q))
+        adjacency.setdefault(key(q), []).append((idx, p))
+
+    used = [False] * len(segments)
+    polylines = []
+
+    def walk(start_pt):
+        line = [start_pt]
+        cur = start_pt
+        while True:
+            nxt = None
+            for idx, other in adjacency.get(key(cur), ()):
+                if not used[idx]:
+                    used[idx] = True
+                    nxt = other
+                    break
+            if nxt is None:
+                return line
+            line.append(nxt)
+            cur = nxt
+
+    # open chains first: start from endpoints of odd degree
+    endpoints = [p for p, links in adjacency.items() if len(links) % 2 == 1]
+    for ep in endpoints:
+        if any(not used[idx] for idx, _ in adjacency[ep]):
+            polylines.append(walk(ep))
+    # remaining are closed loops
+    for idx, (p, q) in enumerate(segments):
+        if not used[idx]:
+            used[idx] = True
+            line = [p, q]
+            rest = walk(q)
+            line.extend(rest[1:])
+            polylines.append(line)
+    return [np.array(line) for line in polylines if len(line) >= 2]
+
+
+def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
+    """Extract iso-polylines from a scan.
+
+    kind: 'state_boundary' (min_eig = 0), 'ppt_boundary' (min_eig_pt = 0
+    restricted to the state body), or 'negativity' at the given level.
+    Returns a list of (k, 2) arrays of (a, b) points; empty list if no contour.
+    """
+    if kind == "state_boundary":
+        f = grid.min_eig
+    elif kind == "ppt_boundary":
+        f = grid.min_eig_pt
+    elif kind == "negativity":
+        f = grid.negativity - level
+    else:
+        raise ValueError(f"unknown contour kind {kind!r}")
+    lines = _marching_squares(grid.a_values, grid.b_values, np.asarray(f, dtype=float))
+    if kind == "ppt_boundary":
+        lines = _restrict_to_state_body(grid, lines)
+    return lines
+
+
+def _bilinear(grid: ScanGrid, f: np.ndarray, a: float, b: float) -> float:
+    ia = np.clip(np.searchsorted(grid.a_values, a) - 1, 0, len(grid.a_values) - 2)
+    ib = np.clip(np.searchsorted(grid.b_values, b) - 1, 0, len(grid.b_values) - 2)
+    ta = (a - grid.a_values[ia]) / (grid.a_values[ia + 1] - grid.a_values[ia])
+    tb = (b - grid.b_values[ib]) / (grid.b_values[ib + 1] - grid.b_values[ib])
+    return float(
+        f[ia, ib] * (1 - ta) * (1 - tb)
+        + f[ia + 1, ib] * ta * (1 - tb)
+        + f[ia, ib + 1] * (1 - ta) * tb
+        + f[ia + 1, ib + 1] * ta * tb
+    )
+
+
+def _restrict_to_state_body(grid: ScanGrid, lines, slack: float = 1e-6):
+    """Keep only polyline points inside the state body, splitting where cut."""
+    out = []
+    for line in lines:
+        run = []
+        for a, b in line:
+            if _bilinear(grid, grid.min_eig, a, b) >= -slack:
+                run.append((a, b))
+            else:
+                if len(run) >= 2:
+                    out.append(np.array(run))
+                run = []
+        if len(run) >= 2:
+            out.append(np.array(run))
+    return out
+
+
+def points_in_state_body(grid: ScanGrid, points, slack: float = 1e-6) -> np.ndarray:
+    """Subset of (a, b) points whose interpolated min eigenvalue is nonnegative."""
+    kept = [p for p in points if _bilinear(grid, grid.min_eig, p[0], p[1]) >= -slack]
+    return np.array(kept) if kept else np.empty((0, 2))
+
+
+# ---------------------------------------------------------------------------
+# Export formats
+
+
+def grid_to_csv(grid: ScanGrid) -> str:
+    """CSV of the grid: one row per cell, b outer / a inner, 17 significant digits."""
+    lines = ["a,b,min_eig,min_eig_pt,negativity,is_state,is_ppt"]
+    for j in range(len(grid.b_values)):
+        for i in range(len(grid.a_values)):
+            lines.append(
+                "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d"
+                % (
+                    grid.a_values[i],
+                    grid.b_values[j],
+                    grid.min_eig[i, j],
+                    grid.min_eig_pt[i, j],
+                    grid.negativity[i, j],
+                    int(grid.is_state[i, j]),
+                    int(grid.is_ppt[i, j]),
+                )
+            )
+    return "\n".join(lines) + "\n"

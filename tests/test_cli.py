@@ -56,6 +56,15 @@ class TestProject:
         assert code == 0
         assert "negativity:           1.0000000000000000" in out
 
+    def test_non_finite_state_exits_2(self, tmp_path, capsys):
+        doc = json.loads(state_to_json(make_named("max_mixed4")))
+        doc["matrix"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "project", "--state", str(path))
+        assert code == 2
+        assert "state has non-finite entries" in err
+
 
 class TestStats:
     def test_single_sample(self, capsys):

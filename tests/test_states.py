@@ -179,6 +179,22 @@ class TestValidateState:
         with pytest.raises(ValueError, match="dims"):
             validate_state(np.eye(4) / 4, (2, 3))
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 0), np.nan), ((0, 1), np.nan), ((2, 2), np.inf)],
+        ids=["diagonal-nan", "off-diagonal-nan", "inf"],
+    )
+    def test_non_finite_entries(self, entry, value):
+        m = (np.eye(4) / 4).astype(complex)
+        m[entry] = value
+        with pytest.raises(ValueError, match="state has non-finite entries"):
+            validate_state(m, (2, 2))
+
+    def test_non_finite_checked_first(self):
+        # would otherwise fail the dims check
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_state(np.full((4, 4), np.nan), (2, 3))
+
 
 class TestJson:
     def test_round_trip_w(self):
