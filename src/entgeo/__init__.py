@@ -12,6 +12,7 @@ from .states import (
     max_mixed,
     partial_transpose,
     sample_hs_random,
+    sample_hs_random_stack,
     state_from_json,
     state_to_json,
     validate_state,
@@ -19,6 +20,7 @@ from .states import (
 from .projection import (
     ProjectionResult,
     closest_pt_state,
+    closest_pt_states,
     distance_closed_form,
     general_negativity,
     negativity,
@@ -48,11 +50,13 @@ __all__ = [
     "max_mixed",
     "partial_transpose",
     "sample_hs_random",
+    "sample_hs_random_stack",
     "state_from_json",
     "state_to_json",
     "validate_state",
     "ProjectionResult",
     "closest_pt_state",
+    "closest_pt_states",
     "distance_closed_form",
     "general_negativity",
     "negativity",

@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from .linalg import hs_inner, hs_norm
-from .states import DensityMatrix
+from .states import DensityMatrix, partial_transpose
 
 STATE_EIG_TOL = 1e-10
 
@@ -102,12 +102,6 @@ class ScanGrid:
         return max(da, db)
 
 
-def _batched_pt(ms: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    da, db = dims
-    k = ms.shape[0]
-    return ms.reshape(k, da, db, da, db).transpose(0, 1, 4, 3, 2).reshape(k, da * db, da * db)
-
-
 def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = plane.n
     ms = (
@@ -116,7 +110,7 @@ def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         + pts[:, 1, None, None] * plane.a2
     )
     eigs = np.linalg.eigvalsh(ms)
-    eigs_pt = np.linalg.eigvalsh(_batched_pt(ms, plane.dims))
+    eigs_pt = np.linalg.eigvalsh(partial_transpose(ms, "B", plane.dims))
     min_eig = eigs[:, 0]
     min_eig_pt = eigs_pt[:, 0]
     if n == 4:

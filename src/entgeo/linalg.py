@@ -21,10 +21,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def asymmetry(a: np.ndarray) -> float:
-    """Hilbert-Schmidt norm of the anti-Hermitian part, ||A - A^dagger||_2."""
-    a = as_matrix(a)
-    return float(np.linalg.norm(a - a.conj().T))
+def asymmetry(a: np.ndarray):
+    """Hilbert-Schmidt norm of the anti-Hermitian part, ||A - A^dagger||_2.
+
+    A scalar for one matrix, an array of per-matrix norms for a (..., n, n) stack.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -46,7 +49,8 @@ class EigenDecomposition:
     """Spectral decomposition A = U diag(eigenvalues) U^dagger.
 
     Eigenvalues are real and sorted ascending; columns of ``unitary`` are the
-    matching eigenvectors.
+    matching eigenvectors. For a stack of matrices both arrays carry the
+    stack's leading axes.
     """
 
     eigenvalues: np.ndarray
@@ -54,29 +58,33 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        return (self.unitary * self.eigenvalues) @ self.unitary.conj().T
+        return self.rebuild(self.eigenvalues)
 
     def rebuild(self, new_eigenvalues: np.ndarray) -> np.ndarray:
         """U diag(new_eigenvalues) U^dagger in the same eigenbasis."""
-        return (self.unitary * np.asarray(new_eigenvalues)) @ self.unitary.conj().T
+        u = self.unitary
+        return (u * np.asarray(new_eigenvalues)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def eig_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or a (..., n, n) stack of them.
 
-    The input must be Hermitian within ``tol`` (measured as ||A - A^dagger||_2);
-    it is symmetrized before decomposition so roundoff asymmetry cannot leak
-    into the spectrum. Eigenvalues come back sorted ascending, and repeated
-    calls on the same input give bitwise-identical results.
+    Every matrix must be Hermitian within ``tol`` (measured as
+    ||A - A^dagger||_2; the error reports the worst one); it is symmetrized
+    before decomposition so roundoff asymmetry cannot leak into the spectrum.
+    Eigenvalues come back sorted ascending, and repeated calls on the same
+    input give bitwise-identical results, stacked or one matrix at a time.
     """
-    a = as_matrix(a)
-    asym = asymmetry(a)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    asym = asymmetry(a).max(initial=0.0)
     if asym > tol:
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > tol {tol:.3e}")
-    h = (a + a.conj().T) / 2
+    h = (a + a.conj().swapaxes(-1, -2)) / 2
     w, u = np.linalg.eigh(h)
     return EigenDecomposition(eigenvalues=w, unitary=u)
 

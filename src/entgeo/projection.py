@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hs_norm, eig_hermitian, is_psd
+from .linalg import EigenDecomposition, eig_hermitian, hs_norm
 from .states import DensityMatrix, partial_transpose
 
 # PT spectra with min eigenvalue above this count as PPT (eigensolver noise floor).
@@ -45,30 +45,42 @@ class ProjectionResult:
 
 
 def project_simplex_psd(d, trace_target: float = 1.0):
-    """Euclidean projection of a spectrum onto {x >= 0, sum x = trace_target}.
+    """Euclidean projection of spectra onto {x >= 0, sum x = trace_target}, along the last axis.
 
     Returns (e_squared, lam, kept) with e2_i = max(d_i + lam, 0) and lam the
-    unique shift normalizing the sum. Sort-and-scan, exact in one pass; ties
-    d_i + lam == 0 resolve to the zero branch.
+    unique shift normalizing the sum. Sort-and-scan, exact in one pass: lam
+    comes from the largest k with ds_k + (trace_target - sum_{j<=k} ds_j)/k > 0
+    over the descending spectrum ds (Duchi et al. 2008; Condat 2016); ties
+    d_i + lam == 0 resolve to the zero branch. For one spectrum lam is a float
+    and kept the ascending tuple of support indices; for a (..., n) stack lam
+    is an array and kept a boolean support mask of the spectra's shape.
     """
     d = np.asarray(d, dtype=float)
-    if d.size == 0:
+    if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("empty spectrum")
-    if not np.all(np.isfinite(d)) or trace_target <= 0:
+    if not np.isfinite(d).all() or trace_target <= 0:
         raise ValueError("spectrum must be finite and trace_target > 0")
-    order = np.argsort(d)[::-1]  # descending
-    ds = d[order]
-    csum = np.cumsum(ds)
-    lam = 0.0
-    n_keep = 1
-    for k in range(1, d.size + 1):
-        cand = (trace_target - csum[k - 1]) / k
-        if ds[k - 1] + cand > 0:
-            lam, n_keep = cand, k
-    e2 = np.maximum(d + lam, 0.0)
-    e2[d + lam <= 0] = 0.0
-    kept = tuple(sorted(int(i) for i in order[:n_keep]))
-    return e2, float(lam), kept
+    n = d.shape[-1]
+    flat = d.reshape(-1, n)
+    rows = np.arange(len(flat))
+    order = np.argsort(flat, axis=1)[:, ::-1]  # descending
+    ds = flat[rows[:, None], order]
+    cand = (trace_target - np.cumsum(ds, axis=1)) / np.arange(1, n + 1)
+    holds = ds + cand > 0
+    # the last k where the condition holds; if it holds nowhere, lam = 0 and
+    # one index is kept
+    last = n - np.argmax(holds[:, ::-1], axis=1)
+    found = holds[rows, last - 1]
+    lam = np.where(found, cand[rows, last - 1], 0.0)
+    n_keep = np.where(found, last, 1)
+    shifted = flat + lam[:, None]
+    e2 = np.maximum(shifted, 0.0)
+    e2[shifted <= 0] = 0.0
+    kept = np.zeros(flat.shape, dtype=bool)
+    kept[rows[:, None], order] = np.arange(n) < n_keep[:, None]
+    if d.ndim == 1:
+        return e2[0], float(lam[0]), tuple(np.flatnonzero(kept).tolist())
+    return e2.reshape(d.shape), lam.reshape(d.shape[:-1]), kept.reshape(d.shape)
 
 
 def distance_closed_form(d, kept) -> float:
@@ -90,27 +102,69 @@ def distance_closed_form(d, kept) -> float:
     return float(np.sqrt(s * s / n_p + sum(x * x for x in neg)))
 
 
+@dataclass(frozen=True)
+class ProjectionBatch:
+    """Per-state projection arrays for a stack of states, one row per state.
+
+    ``d`` is the ascending PT spectrum, ``e2`` the simplex-projected spectrum
+    in the same eigenbasis order, ``kept`` its support mask, and ``rho_s`` the
+    closest partially transposed states with their min eigenvalues.
+    """
+
+    d: np.ndarray
+    e2: np.ndarray
+    lam: np.ndarray
+    kept: np.ndarray
+    rho_s: np.ndarray
+    rho_s_min_eig: np.ndarray
+
+    @property
+    def rank(self) -> np.ndarray:
+        return self.kept.sum(axis=-1)
+
+
+def project_pt_spectra(pt: EigenDecomposition, dims: tuple[int, int], subsystem: str = "B") -> ProjectionBatch:
+    """Steps 2 and 3 of the projection for a stack of decomposed partial transposes.
+
+    Simplex-project each PT spectrum, rebuild sigma* = U E^2 U^dagger, map it
+    back through the PT and take the min eigenvalue of the result.
+    """
+    e2, lam, kept = project_simplex_psd(pt.eigenvalues)
+    rho_s = partial_transpose(pt.rebuild(e2), subsystem, dims)
+    return ProjectionBatch(
+        d=pt.eigenvalues,
+        e2=e2,
+        lam=lam,
+        kept=kept,
+        rho_s=rho_s,
+        rho_s_min_eig=eig_hermitian(rho_s, PSD_REPORT_TOL).eigenvalues[..., 0],
+    )
+
+
+def closest_pt_states(rhos, dims: tuple[int, int], subsystem: str = "B") -> ProjectionBatch:
+    """Closest partially transposed states for a (k, n, n) stack of states."""
+    return project_pt_spectra(eig_hermitian(partial_transpose(rhos, subsystem, dims)), dims, subsystem)
+
+
 def closest_pt_state(rho: DensityMatrix, subsystem: str = "B") -> ProjectionResult:
     """Project rho^PT onto the trace-1 PSD cone and map back through the PT.
 
     Steps: eigendecompose rho^PT = U D U^dagger, simplex-project D into E^2,
-    reconstruct sigma* = U E^2 U^dagger, return rho_s = (sigma*)^PT.
+    reconstruct sigma* = U E^2 U^dagger, return rho_s = (sigma*)^PT. The
+    one-state case of :func:`closest_pt_states`.
     """
-    pt = partial_transpose(rho, subsystem)
-    dec = eig_hermitian(pt)
-    d = dec.eigenvalues
-    e2, lam, kept = project_simplex_psd(d)
-    sigma = dec.rebuild(e2)
-    rho_s = DensityMatrix(matrix=sigma, dims=rho.dims)
-    rho_s_mat = partial_transpose(rho_s, subsystem)
+    res = closest_pt_states(rho.matrix[None], rho.dims, subsystem)
+    d = res.d[0]
+    rho_s = res.rho_s[0]
+    kept = tuple(np.flatnonzero(res.kept[0]).tolist())
     return ProjectionResult(
-        closest_pt_state=rho_s_mat,
-        e_squared=np.sort(e2)[::-1],
-        lam=lam,
+        closest_pt_state=rho_s,
+        e_squared=np.sort(res.e2[0])[::-1],
+        lam=float(res.lam[0]),
         kept_indices=kept,
-        distance_exact=hs_norm(rho.matrix - rho_s_mat),
+        distance_exact=hs_norm(rho.matrix - rho_s),
         distance_closed_form=distance_closed_form(d, kept),
-        rho_s_is_positive=is_psd(rho_s_mat, PSD_REPORT_TOL),
+        rho_s_is_positive=bool(res.rho_s_min_eig[0] >= -PSD_REPORT_TOL),
         d_min=float(d[0]),
     )
 

@@ -54,21 +54,31 @@ def validate_state(m, dims: tuple[int, int], tol: float = DEFAULT_TOL) -> Densit
     return DensityMatrix(matrix=m, dims=(da, db))
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str = "B") -> np.ndarray:
+def partial_transpose(rho, subsystem: str = "B", dims: tuple[int, int] | None = None) -> np.ndarray:
     """Transpose one tensor factor of a bipartite operator.
 
+    ``rho`` is a DensityMatrix, or an array of shape (..., n, n) with its
+    bipartition given by ``dims``; stacks are transposed matrix by matrix.
     Hermiticity, trace, and the Hilbert-Schmidt norm are preserved; positivity
     is not. Applying the map twice returns the input exactly.
     """
-    da, db = rho.dims
-    t = rho.matrix.reshape(da, db, da, db)
+    if isinstance(rho, DensityMatrix):
+        m, dims = rho.matrix, rho.dims
+    elif dims is None:
+        raise ValueError("dims are required for a matrix stack")
+    else:
+        m = np.asarray(rho)
+    da, db = dims
+    lead = m.shape[:-2]
+    t = m.reshape(*lead, da, db, da, db)
+    k = len(lead)
     if subsystem == "B":
-        t = t.transpose(0, 3, 2, 1)
+        axes = (k, k + 3, k + 2, k + 1)
     elif subsystem == "A":
-        t = t.transpose(2, 1, 0, 3)
+        axes = (k + 2, k + 1, k, k + 3)
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return t.reshape(da * db, da * db)
+    return t.transpose(*range(k), *axes).reshape(*lead, da * db, da * db)
 
 
 def _pure(vec, dims) -> DensityMatrix:
@@ -129,17 +139,30 @@ def make_named(name: str) -> DensityMatrix:
     raise ValueError(f"unknown named state {name!r}; known: {', '.join(NAMED_STATE_TAGS)}")
 
 
-def sample_hs_random(n: int, rng_seed: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
-    """Hilbert-Schmidt-random state: rho = G G^dagger / tr(G G^dagger), G square Ginibre.
+def sample_hs_random_stack(n: int, seeds) -> np.ndarray:
+    """Stack of Hilbert-Schmidt-random states, one (n, n) matrix per seed in ``seeds``.
 
-    Deterministic per seed; identical seeds give bitwise-identical matrices.
+    Row i is rho = G G^dagger / tr(G G^dagger) for the square Ginibre matrix G
+    drawn from ``np.random.default_rng(seeds[i])``: the real part first, then
+    the imaginary part. Deterministic per seed, whatever the other seeds.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    rng = np.random.default_rng(rng_seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
+    x = np.empty((len(seeds), 2, n, n))
+    for i, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=x[i])
+    g = x[:, 0] + 1j * x[:, 1]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def sample_hs_random(n: int, rng_seed: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
+    """Hilbert-Schmidt-random state: rho = G G^dagger / tr(G G^dagger), G square Ginibre.
+
+    Deterministic per seed; identical seeds give bitwise-identical matrices,
+    equal to the matching row of :func:`sample_hs_random_stack`.
+    """
+    rho = sample_hs_random_stack(n, [rng_seed])[0]
     if dims is None:
         dims = (2, n // 2) if n % 2 == 0 else (1, n)
     return DensityMatrix(matrix=rho, dims=dims)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entgeo import make_named, state_from_json, state_to_json
+from entgeo import cli
 from entgeo.cli import main
 
 
@@ -84,6 +85,29 @@ class TestStats:
         assert "positive rho_s fraction:" in out
         assert "mean negativity" in out
         assert "rank-2 fraction" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_exit_2(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples: must be a positive integer" in capsys.readouterr().err
+
+    def test_block_size_does_not_change_output(self, capsys, monkeypatch):
+        argv = ["stats", "--samples", "300", "--seed", "4", "--dims", "2x3"]
+        _, out1, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_STATS_BLOCK", 7)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 == out2
+
+    def test_two_qubit_npt_fraction_matches_hs_measure(self, capsys):
+        # 1 - 8/33 (Milz & Strunz 2015) at 10^5 samples, se 0.00136
+        code, out, _ = run(capsys, "stats", "--samples", "100000", "--seed", "1")
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert last.startswith("HS reference 1-8/33:      0.7576  (se 0.0014, z ")
+        z = float(last.split("z ")[1].rstrip(")"))
+        assert abs(z) < 4
 
 
 class TestScan:

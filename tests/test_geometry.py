@@ -13,6 +13,7 @@ from entgeo import (
     scan_plane,
     state_at,
 )
+from entgeo import geometry
 from entgeo.geometry import (
     ScanGrid,
     _marching_squares,
@@ -172,10 +173,10 @@ class TestScanPlane:
         g2 = scan_plane(ff_plane("ff3"), (-0.9, 0.9, 31), (-0.9, 0.9, 31))
         assert grid_to_csv(g1) == grid_to_csv(g2)
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
+    def test_block_size_does_not_change_output(self, monkeypatch):
         plane = ff_plane("ff2")
         g1 = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
-        monkeypatch.setenv("ENTGEO_THREADS", "4")
+        monkeypatch.setattr(geometry, "_SCAN_BLOCK", 7)
         g2 = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
         assert grid_to_csv(g1) == grid_to_csv(g2)
 

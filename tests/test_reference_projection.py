@@ -1,0 +1,118 @@
+"""The batched projection and Monte-Carlo code reproduces the per-state reference exactly."""
+
+import numpy as np
+import pytest
+
+import reference_projection as ref
+from entgeo import (
+    closest_pt_state,
+    closest_pt_states,
+    eig_hermitian,
+    partial_transpose,
+    sample_hs_random,
+    sample_hs_random_stack,
+)
+from entgeo.cli import main
+from entgeo.projection import PSD_REPORT_TOL
+
+DIMS = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]
+
+
+def dims_id(dims):
+    return f"{dims[0]}x{dims[1]}"
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=dims_id)
+@pytest.mark.parametrize("samples", [1, 511, 512, 513, 1025])
+def test_stats_lines_match_reference(capsys, dims, samples):
+    seed = 7 * samples + dims[0] * dims[1]
+    argv = ["stats", "--samples", str(samples), "--seed", str(seed), "--dims", dims_id(dims)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = ref.stats_lines(samples, seed, dims)
+    assert lines[: len(want)] == want
+    # two qubits add the HS reference line, nothing else does
+    assert len(lines) == len(want) + (dims == (2, 2))
+
+
+def test_stats_without_npt_states_matches_reference(capsys):
+    # HS seeds 16 and 17 give PPT two-qubit states: no row reaches the projection
+    assert main(["stats", "--samples", "2", "--seed", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == ref.stats_lines(2, 16, (2, 2))
+    assert lines[1].endswith("(0/2)")
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=dims_id)
+def test_closest_pt_state_fields_bitwise(dims):
+    n = dims[0] * dims[1]
+    for seed in range(500):
+        rho = ref.sample_hs_random(n, seed, dims=dims)
+        got = closest_pt_state(rho)
+        want = ref.closest_pt_state(rho)
+        assert np.array_equal(got.closest_pt_state, want.closest_pt_state)
+        assert np.array_equal(got.e_squared, want.e_squared)
+        assert got.lam == want.lam
+        assert got.kept_indices == want.kept_indices
+        assert got.distance_exact == want.distance_exact
+        assert got.distance_closed_form == want.distance_closed_form
+        assert got.rho_s_is_positive == want.rho_s_is_positive
+        assert got.d_min == want.d_min
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=dims_id)
+def test_closest_pt_states_rows_bitwise(dims):
+    n = dims[0] * dims[1]
+    seeds = range(300, 500)
+    batch = closest_pt_states(sample_hs_random_stack(n, seeds), dims)
+    assert np.array_equal(batch.rank, batch.kept.sum(axis=1))
+    for i, seed in enumerate(seeds):
+        want = ref.closest_pt_state(ref.sample_hs_random(n, seed, dims=dims))
+        assert np.array_equal(batch.rho_s[i], want.closest_pt_state)
+        assert np.array_equal(np.sort(batch.e2[i])[::-1], want.e_squared)
+        assert batch.lam[i] == want.lam
+        assert tuple(np.flatnonzero(batch.kept[i])) == want.kept_indices
+        assert batch.d[i, 0] == want.d_min
+        assert (batch.rho_s_min_eig[i] >= -PSD_REPORT_TOL) == want.rho_s_is_positive
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16])
+def test_sampler_bitwise(n):
+    seeds = range(1000, 1300)
+    stack = sample_hs_random_stack(n, seeds)
+    for i, seed in enumerate(seeds):
+        want = ref.sample_hs_random(n, seed).matrix
+        assert np.array_equal(stack[i], want)
+        assert np.array_equal(sample_hs_random(n, seed).matrix, want)
+
+
+@pytest.mark.parametrize("subsystem", ["A", "B"])
+@pytest.mark.parametrize("dims", DIMS, ids=dims_id)
+def test_stacked_partial_transpose(dims, subsystem):
+    n = dims[0] * dims[1]
+    stack = sample_hs_random_stack(n, range(20)).reshape(4, 5, n, n)
+    got = partial_transpose(stack, subsystem, dims)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(4, 5):
+        rho = ref.sample_hs_random(n, 5 * idx[0] + idx[1], dims=dims)
+        assert np.array_equal(got[idx], ref.partial_transpose(rho, subsystem))
+
+
+def test_stack_partial_transpose_needs_dims():
+    with pytest.raises(ValueError, match="dims"):
+        partial_transpose(np.eye(4)[None], "B")
+
+
+def test_stack_with_one_non_hermitian_member_raises():
+    stack = sample_hs_random_stack(4, range(8))
+    stack[5, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match=r"asymmetry 1\.414e-03"):
+        eig_hermitian(stack)
+    # the error reports the worst member
+    stack[2, 1, 3] += 2e-3
+    with pytest.raises(ValueError, match=r"asymmetry 2\.828e-03"):
+        eig_hermitian(stack)
+    # the rest of the stack decomposes exactly as one matrix at a time
+    rest = np.delete(stack, [2, 5], axis=0)
+    for row, m in zip(eig_hermitian(rest).eigenvalues, rest):
+        assert np.array_equal(row, ref.eig_hermitian(m)[0])
