@@ -45,15 +45,11 @@ def _resolve_state(spec: str) -> states.DensityMatrix:
 def cmd_project(args) -> int:
     rho = _resolve_state(args.state)
     res = projection.closest_pt_state(rho, args.subsystem)
-    d = np.sort(np.linalg.eigvalsh(states.partial_transpose(rho, args.subsystem)))
-    if rho.dims == (2, 2):
-        neg = projection.negativity(rho)
-    else:
-        neg = projection.general_negativity(rho)
-    robustness = projection.robustness_to_identity(rho)
+    d = res.pt_spectrum
+    neg = float(projection.pt_negativity(d, rho.dims))
+    robustness = projection.pt_robustness(d)
     # positive only by grace of the tolerance: min eigenvalue in [-1e-9, 0)
-    rho_s_min_eig = float(np.linalg.eigvalsh(res.closest_pt_state)[0])
-    borderline = res.rho_s_is_positive and rho_s_min_eig < 0
+    borderline = res.rho_s_is_positive and res.rho_s_min_eig < 0
 
     print(f"state: {args.state}  dims {rho.dims[0]}x{rho.dims[1]}  PT over {args.subsystem}")
     print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in d))
@@ -82,7 +78,7 @@ def cmd_project(args) -> int:
             "distance_closed_form": res.distance_closed_form,
             "negativity": neg,
             "robustness": robustness,
-            "rho_s_is_positive": bool(res.rho_s_is_positive),
+            "rho_s_is_positive": res.rho_s_is_positive,
             "borderline": borderline,
             "d_min": res.d_min,
             "rho_s": json.loads(
@@ -125,18 +121,12 @@ def cmd_stats(args) -> int:
         res = projection.project_pt_spectra(
             linalg.EigenDecomposition(pt.eigenvalues[is_npt], pt.unitary[is_npt]), (da, db)
         )
-        d = res.d
-        if n == 4:
-            neg = 2.0 * -d[:, 0]
-        else:
-            # d ascends, so this adds the negative eigenvalues in order
-            neg = -np.cumsum(np.minimum(d, 0.0), axis=1)[:, -1]
         # one at a time in seed order, so the sum rounds as a per-state loop's would
-        for value in neg.tolist():
+        for value in projection.pt_negativity(res.d, (da, db)).tolist():
             neg_sum += value
         is_positive = res.rho_s_min_eig >= -projection.PSD_REPORT_TOL
         is_rank2 = res.rank == 2
-        npt += len(d)
+        npt += len(res.d)
         positive += int(is_positive.sum())
         rank2 += int(is_rank2.sum())
         rank2_positive += int((is_rank2 & is_positive).sum())

@@ -16,9 +16,8 @@ from itertools import repeat
 import numpy as np
 
 from .linalg import hs_inner, hs_norm
+from .projection import PPT_EIG_TOL, pt_negativity
 from .states import DensityMatrix, partial_transpose
-
-STATE_EIG_TOL = 1e-10
 
 # Cells per batched eigensolve in scan_plane; bounds the complex matrix stacks
 # to a few MB whatever the resolution. eigvalsh works matrix by matrix, so the
@@ -92,8 +91,8 @@ class ScanGrid:
     is_ppt: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "is_state", self.min_eig >= -STATE_EIG_TOL)
-        object.__setattr__(self, "is_ppt", self.is_state & (self.min_eig_pt >= -STATE_EIG_TOL))
+        object.__setattr__(self, "is_state", self.min_eig >= -PPT_EIG_TOL)
+        object.__setattr__(self, "is_ppt", self.is_state & (self.min_eig_pt >= -PPT_EIG_TOL))
 
     @property
     def cell_size(self) -> float:
@@ -111,13 +110,7 @@ def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     )
     eigs = np.linalg.eigvalsh(ms)
     eigs_pt = np.linalg.eigvalsh(partial_transpose(ms, "B", plane.dims))
-    min_eig = eigs[:, 0]
-    min_eig_pt = eigs_pt[:, 0]
-    if n == 4:
-        neg = 2.0 * np.maximum(0.0, -min_eig_pt)
-    else:
-        neg = -np.minimum(eigs_pt, 0.0).sum(axis=1)
-    return min_eig, min_eig_pt, neg
+    return eigs[:, 0], eigs_pt[:, 0], pt_negativity(eigs_pt, plane.dims)
 
 
 def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[float, float, int]) -> ScanGrid:

@@ -2,9 +2,18 @@
 
 Implements the three-step closest-partially-transposed-state algorithm
 (eigendecompose rho^PT, project the spectrum onto the probability simplex,
-undo the partial transpose) plus the scalar entanglement measures that fall
-out of the PT spectrum: negativity, robustness against mixing with the
-identity, and the two-qubit closed-form distance.
+undo the partial transpose). The ascending PT spectrum of step 1 is the one
+spectral core: negativity, robustness against mixing with the identity and
+the two-qubit closed-form distance are pure functions of it.
+
+Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
+``linalg.DEFAULT_TOL`` (1e-9). ``PPT_EIG_TOL`` (1e-10) is the eigensolver
+noise floor: a least eigenvalue >= -1e-10 counts as PSD, for PT spectra
+(robustness, two-qubit negativity and distance read 0) and for scan cells
+(``ScanGrid.is_state``, ``is_ppt``). rho_s is positive at >= -``PSD_REPORT_TOL``
+(1e-9), borderline in [-1e-9, 0). Contour points whose interpolated least
+eigenvalue is >= -1e-6 are in the state body; contour crossings equal to
+``geometry._NODE_DECIMALS`` (9) decimals are one node.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ import numpy as np
 from .linalg import EigenDecomposition, eig_hermitian, hs_norm
 from .states import DensityMatrix, partial_transpose
 
-# PT spectra with min eigenvalue above this count as PPT (eigensolver noise floor).
 PPT_EIG_TOL = 1e-10
 PSD_REPORT_TOL = 1e-9
 
@@ -36,12 +44,20 @@ class ProjectionResult:
     kept_indices: tuple[int, ...]  # support w.r.t. the ascending PT spectrum
     distance_exact: float
     distance_closed_form: float
-    rho_s_is_positive: bool
-    d_min: float
+    pt_spectrum: np.ndarray      # eigenvalues of rho^PT, ascending
+    rho_s_min_eig: float         # least eigenvalue of closest_pt_state
 
     @property
     def rank(self) -> int:
         return len(self.kept_indices)
+
+    @property
+    def d_min(self) -> float:
+        return float(self.pt_spectrum[0])
+
+    @property
+    def rho_s_is_positive(self) -> bool:
+        return bool(self.rho_s_min_eig >= -PSD_REPORT_TOL)
 
 
 def project_simplex_psd(d, trace_target: float = 1.0):
@@ -164,42 +180,53 @@ def closest_pt_state(rho: DensityMatrix, subsystem: str = "B") -> ProjectionResu
         kept_indices=kept,
         distance_exact=hs_norm(rho.matrix - rho_s),
         distance_closed_form=distance_closed_form(d, kept),
-        rho_s_is_positive=bool(res.rho_s_min_eig[0] >= -PSD_REPORT_TOL),
-        d_min=float(d[0]),
+        pt_spectrum=d,
+        rho_s_min_eig=float(res.rho_s_min_eig[0]),
     )
 
 
-def _pt_min_eigenvalue(rho: DensityMatrix) -> float:
-    return float(eig_hermitian(partial_transpose(rho, "B")).eigenvalues[0])
+def pt_negativity(d, dims=None):
+    """Negativity of ascending PT spectra ``d`` (..., n); the one place its convention is set.
+
+    dims (2, 2): the paper's 2|d_min|, 0 where d_min >= -PPT_EIG_TOL. Other or
+    no dims: Vidal and Werner's sum of |negative eigenvalues|, added in
+    ascending order, no floor. One convention for every dims is planned.
+    """
+    d = np.asarray(d, dtype=float)
+    if dims == (2, 2):
+        return np.where(d[..., 0] < -PPT_EIG_TOL, -2.0 * d[..., 0], 0.0)
+    return -np.cumsum(np.minimum(d, 0.0), axis=-1)[..., -1]
+
+
+def pt_robustness(d) -> float:
+    """Minimal t with (1-t) rho^PT + (t/n) I PSD, from the ascending PT spectrum ``d``.
+
+    Equals |d_min| / (|d_min| + 1/n) for NPT spectra, 0 for PPT ones; at the
+    returned t the mixture's min eigenvalue is 0.
+    """
+    neg = -float(d[0])
+    return neg / (neg + 1.0 / len(d)) if neg > PPT_EIG_TOL else 0.0
+
+
+def _pt_spectrum(rho: DensityMatrix) -> np.ndarray:
+    return eig_hermitian(partial_transpose(rho, "B")).eigenvalues
 
 
 def general_negativity(rho: DensityMatrix) -> float:
     """Sum of |negative eigenvalues| of rho^PT; any bipartition."""
-    d = eig_hermitian(partial_transpose(rho, "B")).eigenvalues
-    return float(-d[d < 0].sum())
+    return float(pt_negativity(_pt_spectrum(rho)))
 
 
 def negativity(rho: DensityMatrix) -> float:
     """Two-qubit negativity N = 2|d_min|, zero for PPT states."""
     if rho.dims != (2, 2):
         raise ValueError("negativity is defined for dims (2,2); use general_negativity")
-    d_min = _pt_min_eigenvalue(rho)
-    if d_min >= -PPT_EIG_TOL:
-        return 0.0
-    return float(-2.0 * d_min)
+    return float(pt_negativity(_pt_spectrum(rho), rho.dims))
 
 
 def robustness_to_identity(rho: DensityMatrix) -> float:
-    """Minimal t with (1-t) rho^PT + (t/n) I positive semidefinite.
-
-    Equals |d_min| / (|d_min| + 1/n) for NPT states, 0 for PPT states; at the
-    returned t the mixture's min eigenvalue is 0.
-    """
-    n = rho.dim
-    d_min = _pt_min_eigenvalue(rho)
-    if d_min >= -PPT_EIG_TOL:
-        return 0.0
-    return float(-d_min / (-d_min + 1.0 / n))
+    """Minimal t with (1-t) rho^PT + (t/n) I positive semidefinite; see :func:`pt_robustness`."""
+    return pt_robustness(_pt_spectrum(rho))
 
 
 def two_qubit_distance(rho: DensityMatrix) -> tuple[float, bool]:
@@ -210,8 +237,7 @@ def two_qubit_distance(rho: DensityMatrix) -> tuple[float, bool]:
     """
     if rho.dims != (2, 2):
         raise ValueError("two_qubit_distance requires dims (2,2)")
-    res = closest_pt_state(rho)
-    if res.d_min >= -PPT_EIG_TOL:
+    d = _pt_spectrum(rho)
+    if d[0] >= -PPT_EIG_TOL:
         return 0.0, True
-    value = float(2.0 / np.sqrt(3.0) * -res.d_min)
-    return value, res.rank == 3
+    return float(2.0 / np.sqrt(3.0) * -d[0]), len(project_simplex_psd(d)[2]) == 3

@@ -2,19 +2,44 @@
 
 These are the original one-matrix-at-a-time versions of ``entgeo``'s
 Hilbert-Schmidt sampler, partial transpose, Hermitian eigensolver, simplex
-projection, ``closest_pt_state`` and the ``entgeo stats`` loop, kept
-unchanged as a test oracle: the batched library code must reproduce their
-output exactly (same bits, same printed lines).
+projection, ``closest_pt_state`` with its result type and the ``entgeo
+stats`` loop, kept unchanged as a test oracle: the batched library code must
+reproduce their output exactly (same bits, same printed lines).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from entgeo.projection import PPT_EIG_TOL, PSD_REPORT_TOL, ProjectionResult, distance_closed_form
+from entgeo.projection import PPT_EIG_TOL, PSD_REPORT_TOL, distance_closed_form
 from entgeo.states import DensityMatrix
 
 DEFAULT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ProjectionResult:
+    """Closest partially transposed state plus all diagnostics.
+
+    ``closest_pt_state`` is trace-1 Hermitian but not necessarily PSD; when
+    ``rho_s_is_positive`` it is the closest PPT state outright, otherwise
+    ``distance_exact`` is a lower bound on the distance to the PPT set.
+    """
+
+    closest_pt_state: np.ndarray
+    e_squared: np.ndarray        # simplex-projected PT spectrum, descending
+    lam: float                   # Lagrange shift
+    kept_indices: tuple[int, ...]  # support w.r.t. the ascending PT spectrum
+    distance_exact: float
+    distance_closed_form: float
+    rho_s_is_positive: bool
+    d_min: float
+
+    @property
+    def rank(self) -> int:
+        return len(self.kept_indices)
 
 
 def sample_hs_random(n: int, rng_seed: int, dims: tuple[int, int] | None = None) -> DensityMatrix:

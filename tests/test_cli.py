@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from entgeo import make_named, state_from_json, state_to_json
+from entgeo import make_named, sample_hs_random, state_from_json, state_to_json
 from entgeo import cli
 from entgeo.cli import main
+from entgeo.projection import pt_negativity, pt_robustness
 
 
 def run(capsys, *argv):
@@ -65,6 +66,37 @@ class TestProject:
         code, _, err = run(capsys, "project", "--state", str(path))
         assert code == 2
         assert "state has non-finite entries" in err
+
+    @pytest.mark.parametrize("subsystem", ["A", "B"])
+    @pytest.mark.parametrize("state", ["w", "bell", "hs-3x3"])
+    def test_report_reads_one_pt_spectrum(self, tmp_path, capsys, state, subsystem):
+        if state == "hs-3x3":
+            path = tmp_path / "hs.json"
+            path.write_text(state_to_json(sample_hs_random(9, 0, dims=(3, 3))))
+            state = str(path)
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "project", "--state", state, "--subsystem", subsystem, "--json", str(out_path))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        d = report["pt_spectrum"]
+        assert d[0] == report["d_min"]
+        assert report["negativity"] == pt_negativity(d, tuple(report["dims"]))
+        assert report["robustness"] == pt_robustness(d)
+
+    def test_report_makes_two_eigensolves(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _solver=solver, **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        # a named state skips validate_state: only rho^PT and rho_s are decomposed
+        code, _, _ = run(capsys, "project", "--state", "w", "--json", str(tmp_path / "w.json"))
+        assert code == 0
+        assert calls == ["eigh", "eigh"]
 
 
 class TestStats:

@@ -21,6 +21,7 @@ from entgeo import (
     two_qubit_distance,
     validate_state,
 )
+from entgeo.projection import pt_negativity, pt_robustness
 from entgeo.states import DensityMatrix
 
 SQRT2 = np.sqrt(2.0)
@@ -236,6 +237,31 @@ class TestGeneralNegativity:
 
     def test_bell_matches_half_negativity(self, bell):
         assert general_negativity(bell) == pytest.approx(negativity(bell) / 2, abs=1e-12)
+
+
+class TestSpectralMeasures:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_stack_matches_per_state_formulas(self, dims):
+        n = dims[0] * dims[1]
+        d = np.stack(
+            [eig_hermitian(partial_transpose(sample_hs_random(n, seed, dims=dims), "B")).eigenvalues for seed in range(200)]
+        )
+        neg = pt_negativity(d, dims)
+        neg_sum = pt_negativity(d)
+        for i, row in enumerate(d):
+            npt = row[0] < -1e-10
+            assert neg_sum[i] == -row[row < 0].sum()
+            if dims == (2, 2):
+                assert neg[i] == (-2.0 * row[0] if npt else 0.0)
+            assert pt_robustness(row) == (-row[0] / (-row[0] + 1.0 / n) if npt else 0.0)
+
+    def test_two_qubit_ppt_floor(self):
+        d = np.array([[-2e-10, 0.3, 0.3, 0.4], [-5e-11, 0.3, 0.3, 0.4], [0.0, 0.25, 0.25, 0.5]])
+        neg = pt_negativity(d, (2, 2))
+        assert neg.tolist() == [4e-10, 0.0, 0.0]
+        assert not np.signbit(neg).any()
+        # the sum convention has no floor
+        assert pt_negativity(d).tolist() == [2e-10, 5e-11, 0.0]
 
 
 def robustness_bisection_oracle(rho, tol=1e-12):
