@@ -42,12 +42,19 @@ def _resolve_state(spec: str) -> states.DensityMatrix:
     return states.make_named(aliases.get(spec.lower(), spec))
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_project(args) -> int:
     rho = _resolve_state(args.state)
     res = projection.closest_pt_state(rho, args.subsystem)
     d = res.pt_spectrum
     neg = float(projection.pt_negativity(d, rho.dims))
-    robustness = projection.pt_robustness(d)
+    robustness = float(projection.pt_robustness(d))
     # positive only by grace of the tolerance: min eigenvalue in [-1e-9, 0)
     borderline = res.rho_s_is_positive and res.rho_s_min_eig < 0
 
@@ -81,15 +88,9 @@ def cmd_project(args) -> int:
             "rho_s_is_positive": res.rho_s_is_positive,
             "borderline": borderline,
             "d_min": res.d_min,
-            "rho_s": json.loads(
-                states.state_to_json(states.DensityMatrix(res.closest_pt_state, rho.dims))
-            ),
+            "rho_s": states.state_to_dict(states.DensityMatrix(res.closest_pt_state, rho.dims)),
         }
-        try:
-            Path(args.json).write_text(json.dumps(report, indent=1))
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_text(args.json, json.dumps(report, indent=1))
     return EXIT_OK
 
 
@@ -117,19 +118,18 @@ def cmd_stats(args) -> int:
         rhos = states.sample_hs_random_stack(n, seeds)
         pt = linalg.eig_hermitian(states.partial_transpose(rhos, "B", (da, db)))
         # only the NPT states go on to the projection
-        is_npt = pt.eigenvalues[:, 0] < -projection.PPT_EIG_TOL
+        is_npt = ~projection.above_noise_floor(pt.eigenvalues[:, 0])
         res = projection.project_pt_spectra(
             linalg.EigenDecomposition(pt.eigenvalues[is_npt], pt.unitary[is_npt]), (da, db)
         )
         # one at a time in seed order, so the sum rounds as a per-state loop's would
         for value in projection.pt_negativity(res.d, (da, db)).tolist():
             neg_sum += value
-        is_positive = res.rho_s_min_eig >= -projection.PSD_REPORT_TOL
         is_rank2 = res.rank == 2
         npt += len(res.d)
-        positive += int(is_positive.sum())
+        positive += int(res.rho_s_is_positive.sum())
         rank2 += int(is_rank2.sum())
-        rank2_positive += int((is_rank2 & is_positive).sum())
+        rank2_positive += int((is_rank2 & res.rho_s_is_positive).sum())
 
     print(f"samples:                  {samples}  (seed {args.seed}, dims {da}x{db})")
     print(f"NPT fraction:             {npt / samples:.4f}  ({npt}/{samples})")
@@ -179,11 +179,7 @@ def cmd_scan(args) -> int:
     plane = resolve_plane(args.plane)
     lo, hi = args.range
     grid = geometry.scan_plane(plane, (lo, hi, args.resolution), (lo, hi, args.resolution))
-    try:
-        Path(args.out).write_text(geometry.grid_to_csv(grid))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, geometry.grid_to_csv(grid))
     print(f"wrote {args.resolution}x{args.resolution} grid to {args.out}")
 
     if args.contours is not None:
@@ -196,11 +192,7 @@ def cmd_scan(args) -> int:
                 ("negativity", level, geometry.boundary_contours(grid, "negativity", level))
             )
         out = args.contour_out or str(Path(args.out).with_suffix(".contours.json"))
-        try:
-            Path(out).write_text(geometry.contours_to_json(entries))
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_text(out, geometry.contours_to_json(entries))
         print(f"wrote contours to {out}")
     return EXIT_OK
 
@@ -253,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="scan a 2-D plane and export the grid as CSV")
     p.add_argument("--plane", required=True, help="ff1|ff2|ff3|ff4|ff8, random:<seed>, or 'a.json,b.json'")
     p.add_argument("--resolution", type=int, default=401)
-    p.add_argument("--range", type=_parse_range, default=(-0.9, 0.9), help="axis range lo:hi")
+    p.add_argument("--range", type=_parse_range, default=(-0.9, 0.9), help="axis range lo:hi, lo < hi; write a negative lo as --range=-0.5:0.5")
     p.add_argument("--out", required=True)
     p.add_argument("--contours", type=_parse_levels, help="negativity levels, e.g. 0.1,0.2,0.5")
     p.add_argument("--contour-out")

@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from .linalg import hs_inner, hs_norm
-from .projection import PPT_EIG_TOL, pt_negativity
+from .projection import above_noise_floor, pt_negativity
 from .states import DensityMatrix, partial_transpose
 
 # Cells per batched eigensolve in scan_plane; bounds the complex matrix stacks
@@ -91,8 +91,8 @@ class ScanGrid:
     is_ppt: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "is_state", self.min_eig >= -PPT_EIG_TOL)
-        object.__setattr__(self, "is_ppt", self.is_state & (self.min_eig_pt >= -PPT_EIG_TOL))
+        object.__setattr__(self, "is_state", above_noise_floor(self.min_eig))
+        object.__setattr__(self, "is_ppt", self.is_state & above_noise_floor(self.min_eig_pt))
 
     @property
     def cell_size(self) -> float:
@@ -119,6 +119,8 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     b_min, b_max, nb = b_range
     if na < 2 or nb < 2:
         raise ValueError("need at least 2 steps per axis")
+    if not (np.isfinite([a_min, a_max, b_min, b_max]).all() and a_min < a_max and b_min < b_max):
+        raise ValueError(f"axis ranges need finite bounds with lo < hi, got {a_min}:{a_max}, {b_min}:{b_max}")
     a_values = np.linspace(a_min, a_max, na)
     b_values = np.linspace(b_min, b_max, nb)
     aa, bb = np.meshgrid(a_values, b_values, indexing="ij")

@@ -56,10 +56,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     unitary: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
     def reconstruct(self) -> np.ndarray:
         return self.rebuild(self.eigenvalues)
 

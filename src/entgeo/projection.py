@@ -8,12 +8,12 @@ the two-qubit closed-form distance are pure functions of it.
 
 Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
 ``linalg.DEFAULT_TOL`` (1e-9). ``PPT_EIG_TOL`` (1e-10) is the eigensolver
-noise floor: a least eigenvalue >= -1e-10 counts as PSD, for PT spectra
-(robustness, two-qubit negativity and distance read 0) and for scan cells
-(``ScanGrid.is_state``, ``is_ppt``). rho_s is positive at >= -``PSD_REPORT_TOL``
-(1e-9), borderline in [-1e-9, 0). Contour points whose interpolated least
-eigenvalue is >= -1e-6 are in the state body; contour crossings equal to
-``geometry._NODE_DECIMALS`` (9) decimals are one node.
+noise floor of the one predicate :func:`above_noise_floor`: a least eigenvalue
+>= -1e-10 counts as PSD, for PT spectra (PPT; robustness, two-qubit negativity
+and distance read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). rho_s
+is positive at >= -``PSD_REPORT_TOL`` (1e-9), borderline in [-1e-9, 0). Contour
+points whose interpolated least eigenvalue is >= -1e-6 are in the state body;
+crossings equal to ``geometry._NODE_DECIMALS`` (9) decimals are one node.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ PPT_EIG_TOL = 1e-10
 PSD_REPORT_TOL = 1e-9
 
 
+def above_noise_floor(min_eig):
+    """True where a least eigenvalue counts as PSD: >= -PPT_EIG_TOL, elementwise."""
+    return np.asarray(min_eig) >= -PPT_EIG_TOL
+
+
 @dataclass(frozen=True)
 class ProjectionResult:
     """Closest partially transposed state plus all diagnostics.
@@ -42,22 +47,16 @@ class ProjectionResult:
     e_squared: np.ndarray        # simplex-projected PT spectrum, descending
     lam: float                   # Lagrange shift
     kept_indices: tuple[int, ...]  # support w.r.t. the ascending PT spectrum
+    rank: int                    # size of the support
     distance_exact: float
     distance_closed_form: float
     pt_spectrum: np.ndarray      # eigenvalues of rho^PT, ascending
     rho_s_min_eig: float         # least eigenvalue of closest_pt_state
-
-    @property
-    def rank(self) -> int:
-        return len(self.kept_indices)
+    rho_s_is_positive: bool
 
     @property
     def d_min(self) -> float:
         return float(self.pt_spectrum[0])
-
-    @property
-    def rho_s_is_positive(self) -> bool:
-        return bool(self.rho_s_min_eig >= -PSD_REPORT_TOL)
 
 
 def project_simplex_psd(d, trace_target: float = 1.0):
@@ -99,23 +98,26 @@ def project_simplex_psd(d, trace_target: float = 1.0):
     return e2.reshape(d.shape), lam.reshape(d.shape[:-1]), kept.reshape(d.shape)
 
 
-def distance_closed_form(d, kept) -> float:
-    """Spectral distance formula sqrt((sum_{Ip} d + sum_{In} d)^2/n_p + sum_{In} d^2).
+def distance_closed_form(d, kept):
+    """Spectral distance formula sqrt((sum_{Ip} d + sum_{In} d)^2/n_p + sum_{In} d^2), along the last axis.
 
     I_n are the negative eigenvalue indices, I_p the dropped nonnegative ones,
-    n_p the kept count. Exact whenever every dropped nonnegative eigenvalue is
-    zero; for strictly positive dropped eigenvalues it omits their quadratic
-    residual and slightly undershoots ``distance_exact``.
+    n_p the kept count; ``kept`` is a support mask of ``d``'s shape or one
+    spectrum's index tuple, as from :func:`project_simplex_psd`. Exact whenever
+    every dropped nonnegative eigenvalue is zero; for strictly positive ones it
+    omits their quadratic residual and slightly undershoots ``distance_exact``.
     """
     d = np.asarray(d, dtype=float)
-    kept = set(kept)
-    n_p = len(kept)
-    if n_p == 0:
+    kept = np.asarray(kept)
+    if kept.dtype != bool:
+        kept = (np.arange(d.shape[-1])[:, None] == kept).any(axis=-1)
+    n_p = kept.sum(axis=-1)
+    if (n_p == 0).any():
         raise ValueError("kept set is empty")
-    neg = [x for i, x in enumerate(d) if x < 0]
-    dropped_pos = [x for i, x in enumerate(d) if i not in kept and x >= 0]
-    s = sum(dropped_pos) + sum(neg)
-    return float(np.sqrt(s * s / n_p + sum(x * x for x in neg)))
+    neg = np.minimum(d, 0.0)
+    dropped_pos = np.where(~kept & (d >= 0), d, 0.0)
+    s = np.cumsum(dropped_pos, axis=-1)[..., -1] + np.cumsum(neg, axis=-1)[..., -1]
+    return np.sqrt(s * s / n_p + np.cumsum(neg * neg, axis=-1)[..., -1])
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,10 @@ class ProjectionBatch:
     @property
     def rank(self) -> np.ndarray:
         return self.kept.sum(axis=-1)
+
+    @property
+    def rho_s_is_positive(self) -> np.ndarray:
+        return self.rho_s_min_eig >= -PSD_REPORT_TOL
 
 
 def project_pt_spectra(pt: EigenDecomposition, dims: tuple[int, int], subsystem: str = "B") -> ProjectionBatch:
@@ -170,42 +176,42 @@ def closest_pt_state(rho: DensityMatrix, subsystem: str = "B") -> ProjectionResu
     one-state case of :func:`closest_pt_states`.
     """
     res = closest_pt_states(rho.matrix[None], rho.dims, subsystem)
-    d = res.d[0]
-    rho_s = res.rho_s[0]
-    kept = tuple(np.flatnonzero(res.kept[0]).tolist())
     return ProjectionResult(
-        closest_pt_state=rho_s,
+        closest_pt_state=res.rho_s[0],
         e_squared=np.sort(res.e2[0])[::-1],
         lam=float(res.lam[0]),
-        kept_indices=kept,
-        distance_exact=hs_norm(rho.matrix - rho_s),
-        distance_closed_form=distance_closed_form(d, kept),
-        pt_spectrum=d,
+        kept_indices=tuple(np.flatnonzero(res.kept[0]).tolist()),
+        rank=int(res.rank[0]),
+        distance_exact=hs_norm(rho.matrix - res.rho_s[0]),
+        distance_closed_form=float(distance_closed_form(res.d[0], res.kept[0])),
+        pt_spectrum=res.d[0],
         rho_s_min_eig=float(res.rho_s_min_eig[0]),
+        rho_s_is_positive=bool(res.rho_s_is_positive[0]),
     )
 
 
 def pt_negativity(d, dims=None):
     """Negativity of ascending PT spectra ``d`` (..., n); the one place its convention is set.
 
-    dims (2, 2): the paper's 2|d_min|, 0 where d_min >= -PPT_EIG_TOL. Other or
-    no dims: Vidal and Werner's sum of |negative eigenvalues|, added in
-    ascending order, no floor. One convention for every dims is planned.
+    dims (2, 2): the paper's 2|d_min|, 0 above the noise floor. Other or no
+    dims: Vidal and Werner's sum of |negative eigenvalues| in ascending order,
+    no floor, +0 if there are none. One convention for every dims is planned.
     """
     d = np.asarray(d, dtype=float)
     if dims == (2, 2):
-        return np.where(d[..., 0] < -PPT_EIG_TOL, -2.0 * d[..., 0], 0.0)
-    return -np.cumsum(np.minimum(d, 0.0), axis=-1)[..., -1]
+        return np.where(above_noise_floor(d[..., 0]), 0.0, -2.0 * d[..., 0])
+    return np.cumsum(np.maximum(-d, 0.0), axis=-1)[..., -1]
 
 
-def pt_robustness(d) -> float:
-    """Minimal t with (1-t) rho^PT + (t/n) I PSD, from the ascending PT spectrum ``d``.
+def pt_robustness(d):
+    """Minimal t with (1-t) rho^PT + (t/n) I PSD, from ascending PT spectra ``d`` (..., n).
 
     Equals |d_min| / (|d_min| + 1/n) for NPT spectra, 0 for PPT ones; at the
     returned t the mixture's min eigenvalue is 0.
     """
-    neg = -float(d[0])
-    return neg / (neg + 1.0 / len(d)) if neg > PPT_EIG_TOL else 0.0
+    d = np.asarray(d, dtype=float)
+    neg = -d[..., 0]
+    return np.divide(neg, neg + 1.0 / d.shape[-1], out=np.zeros_like(neg), where=~above_noise_floor(d[..., 0]))
 
 
 def _pt_spectrum(rho: DensityMatrix) -> np.ndarray:
@@ -226,7 +232,7 @@ def negativity(rho: DensityMatrix) -> float:
 
 def robustness_to_identity(rho: DensityMatrix) -> float:
     """Minimal t with (1-t) rho^PT + (t/n) I positive semidefinite; see :func:`pt_robustness`."""
-    return pt_robustness(_pt_spectrum(rho))
+    return float(pt_robustness(_pt_spectrum(rho)))
 
 
 def two_qubit_distance(rho: DensityMatrix) -> tuple[float, bool]:
@@ -238,6 +244,6 @@ def two_qubit_distance(rho: DensityMatrix) -> tuple[float, bool]:
     if rho.dims != (2, 2):
         raise ValueError("two_qubit_distance requires dims (2,2)")
     d = _pt_spectrum(rho)
-    if d[0] >= -PPT_EIG_TOL:
+    if above_noise_floor(d[0]):
         return 0.0, True
     return float(2.0 / np.sqrt(3.0) * -d[0]), len(project_simplex_psd(d)[2]) == 3

@@ -10,7 +10,6 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, as_matrix, asymmetry, eig_hermitian
 
-SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 
 
@@ -168,10 +167,14 @@ def sample_hs_random(n: int, rng_seed: int, dims: tuple[int, int] | None = None)
     return DensityMatrix(matrix=rho, dims=dims)
 
 
+def state_to_dict(rho: DensityMatrix) -> dict:
+    """The interchange schema {"dims":[dA,dB],"matrix":[[[re,im],...],...]} as a JSON-ready dict."""
+    return {"dims": list(rho.dims), "matrix": np.stack((rho.matrix.real, rho.matrix.imag), axis=-1).tolist()}
+
+
 def state_to_json(rho: DensityMatrix) -> str:
-    """Serialize to the interchange schema {"dims":[dA,dB],"matrix":[[[re,im],...],...]}."""
-    mat = [[[float(z.real), float(z.imag)] for z in row] for row in rho.matrix]
-    return json.dumps({"dims": list(rho.dims), "matrix": mat})
+    """Serialize to the interchange schema of :func:`state_to_dict`."""
+    return json.dumps(state_to_dict(rho))
 
 
 def state_from_json(text: str) -> DensityMatrix:

@@ -2,9 +2,10 @@
 
 These are the original one-matrix-at-a-time versions of ``entgeo``'s
 Hilbert-Schmidt sampler, partial transpose, Hermitian eigensolver, simplex
-projection, ``closest_pt_state`` with its result type and the ``entgeo
-stats`` loop, kept unchanged as a test oracle: the batched library code must
-reproduce their output exactly (same bits, same printed lines).
+projection, closed-form distance, ``closest_pt_state`` with its result type
+and the ``entgeo stats`` loop, kept unchanged as a test oracle: the batched
+library code must reproduce their output exactly (same bits, same printed
+lines).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entgeo.projection import PPT_EIG_TOL, PSD_REPORT_TOL, distance_closed_form
+from entgeo.projection import PPT_EIG_TOL, PSD_REPORT_TOL
 from entgeo.states import DensityMatrix
 
 DEFAULT_TOL = 1e-9
@@ -97,6 +98,25 @@ def project_simplex_psd(d, trace_target: float = 1.0):
     e2[d + lam <= 0] = 0.0
     kept = tuple(sorted(int(i) for i in order[:n_keep]))
     return e2, float(lam), kept
+
+
+def distance_closed_form(d, kept) -> float:
+    """Spectral distance formula sqrt((sum_{Ip} d + sum_{In} d)^2/n_p + sum_{In} d^2).
+
+    I_n are the negative eigenvalue indices, I_p the dropped nonnegative ones,
+    n_p the kept count. Exact whenever every dropped nonnegative eigenvalue is
+    zero; for strictly positive dropped eigenvalues it omits their quadratic
+    residual and slightly undershoots ``distance_exact``.
+    """
+    d = np.asarray(d, dtype=float)
+    kept = set(kept)
+    n_p = len(kept)
+    if n_p == 0:
+        raise ValueError("kept set is empty")
+    neg = [x for i, x in enumerate(d) if x < 0]
+    dropped_pos = [x for i, x in enumerate(d) if i not in kept and x >= 0]
+    s = sum(dropped_pos) + sum(neg)
+    return float(np.sqrt(s * s / n_p + sum(x * x for x in neg)))
 
 
 def closest_pt_state(rho: DensityMatrix, subsystem: str = "B") -> ProjectionResult:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from entgeo import make_named, sample_hs_random, state_from_json, state_to_json
+from entgeo import DensityMatrix, closest_pt_state, make_named, sample_hs_random, state_from_json, state_to_json
 from entgeo import cli
 from entgeo.cli import main
 from entgeo.projection import pt_negativity, pt_robustness
@@ -82,6 +82,29 @@ class TestProject:
         assert d[0] == report["d_min"]
         assert report["negativity"] == pt_negativity(d, tuple(report["dims"]))
         assert report["robustness"] == pt_robustness(d)
+
+    @pytest.mark.parametrize("state", ["w", "hs-3x3"])
+    def test_report_rho_s_is_the_state_schema(self, tmp_path, capsys, state):
+        rho = make_named("w_state")
+        if state == "hs-3x3":
+            rho = sample_hs_random(9, 0, dims=(3, 3))
+            state = str(tmp_path / "hs.json")
+            (tmp_path / "hs.json").write_text(state_to_json(rho))
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "project", "--state", state, "--json", str(out_path))
+        assert code == 0
+        rho_s = closest_pt_state(rho).closest_pt_state
+        want = json.loads(state_to_json(DensityMatrix(rho_s, rho.dims)))
+        assert json.loads(out_path.read_text())["rho_s"] == want
+
+    def test_ppt_negativity_is_positive_zero(self, tmp_path, capsys):
+        # dims 2x4 take the sum convention: a PPT state has no negative PT
+        # eigenvalue, and the empty sum is +0
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "project", "--state", "max_mixed(8)", "--json", str(out_path))
+        assert code == 0
+        assert "negativity:           0.0000000000000000" in out
+        assert '"negativity": 0.0,' in out_path.read_text()
 
     def test_report_makes_two_eigensolves(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -200,6 +223,14 @@ class TestScan:
         )
         assert code == 2
         assert "unknown plane" in err
+
+    @pytest.mark.parametrize("bounds", ["0.9:-0.9", "0.5:0.5", "nan:0.5", "-0.5:inf"])
+    def test_bad_range_exits_2(self, tmp_path, capsys, bounds):
+        out_path = tmp_path / "g.csv"
+        code, _, err = run(capsys, "scan", "--plane", "ff3", "--resolution", "41", f"--range={bounds}", "--out", str(out_path))
+        assert code == 2
+        assert "lo < hi" in err
+        assert not out_path.exists()
 
     def test_unwritable_out_exits_3(self, capsys):
         code, _, err = run(

@@ -167,6 +167,13 @@ class TestScanPlane:
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
             scan_plane(ff_plane("ff1"), (-0.5, 0.5, 1), (-0.5, 0.5, 2))
+        # empty, reversed and unbounded axis ranges
+        bad = [(0.9, -0.9), (0.5, 0.5), (np.nan, 0.5), (-0.5, np.inf), (-np.inf, 0.5)]
+        for lo, hi in bad:
+            with pytest.raises(ValueError, match="lo < hi"):
+                scan_plane(ff_plane("ff3"), (lo, hi, 41), (-0.9, 0.9, 41))
+            with pytest.raises(ValueError, match="lo < hi"):
+                scan_plane(ff_plane("ff3"), (-0.9, 0.9, 41), (lo, hi, 41))
 
     def test_deterministic_csv(self):
         g1 = scan_plane(ff_plane("ff3"), (-0.9, 0.9, 31), (-0.9, 0.9, 31))

@@ -24,6 +24,8 @@ from entgeo import (
 from entgeo.projection import pt_negativity, pt_robustness
 from entgeo.states import DensityMatrix
 
+import reference_projection as ref
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -243,25 +245,40 @@ class TestSpectralMeasures:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_stack_matches_per_state_formulas(self, dims):
         n = dims[0] * dims[1]
-        d = np.stack(
+        hs = np.stack(
             [eig_hermitian(partial_transpose(sample_hs_random(n, seed, dims=dims), "B")).eigenvalues for seed in range(200)]
         )
+        # trace-1 spectra with large negative parts, where the projection also
+        # drops positive eigenvalues
+        x = np.random.default_rng(n).normal(size=(200, n))
+        d = np.concatenate([hs, np.sort(x - x.mean(axis=1, keepdims=True) + 1.0 / n, axis=1)])
         neg = pt_negativity(d, dims)
         neg_sum = pt_negativity(d)
+        robustness = pt_robustness(d)
+        distance = distance_closed_form(d, project_simplex_psd(d)[2])
+        dropped_positive = 0
         for i, row in enumerate(d):
             npt = row[0] < -1e-10
             assert neg_sum[i] == -row[row < 0].sum()
             if dims == (2, 2):
                 assert neg[i] == (-2.0 * row[0] if npt else 0.0)
-            assert pt_robustness(row) == (-row[0] / (-row[0] + 1.0 / n) if npt else 0.0)
+            want = -row[0] / (-row[0] + 1.0 / n) if npt else 0.0
+            assert pt_robustness(row) == want
+            assert robustness[i] == want
+            kept = ref.project_simplex_psd(row)[2]
+            dropped_positive += any(row[j] > 0 for j in set(range(n)) - set(kept))
+            assert distance[i] == ref.distance_closed_form(row, kept)
+            assert distance_closed_form(row, kept) == distance[i]
+        assert dropped_positive > 0
 
     def test_two_qubit_ppt_floor(self):
         d = np.array([[-2e-10, 0.3, 0.3, 0.4], [-5e-11, 0.3, 0.3, 0.4], [0.0, 0.25, 0.25, 0.5]])
         neg = pt_negativity(d, (2, 2))
         assert neg.tolist() == [4e-10, 0.0, 0.0]
         assert not np.signbit(neg).any()
-        # the sum convention has no floor
+        # the sum convention has no floor, and a PPT spectrum reads +0
         assert pt_negativity(d).tolist() == [2e-10, 5e-11, 0.0]
+        assert not np.signbit(pt_negativity(d)).any()
 
 
 def robustness_bisection_oracle(rho, tol=1e-12):
