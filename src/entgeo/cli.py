@@ -32,14 +32,18 @@ def _format_matrix(m: np.ndarray) -> str:
 
 
 def _resolve_state(spec: str) -> states.DensityMatrix:
-    path = Path(spec)
-    if spec.endswith(".json") or path.is_file():
+    """A named tag, or a JSON state file; a tag wins over a same-named file unless it ends in .json."""
+    if not spec.endswith(".json"):
+        aliases = {"w": "w_state", "bell": "bell_psi_plus", "qd": "quasi_distillable"}
         try:
-            return states.state_from_json(path.read_text())
-        except OSError as exc:
-            raise ValueError(f"cannot read state file {spec!r}: {exc}") from exc
-    aliases = {"w": "w_state", "bell": "bell_psi_plus", "qd": "quasi_distillable"}
-    return states.make_named(aliases.get(spec.lower(), spec))
+            return states.make_named(aliases.get(spec.lower(), spec))
+        except ValueError:
+            if not Path(spec).is_file():
+                raise
+    try:
+        return states.state_from_json(Path(spec).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read state file {spec!r}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion report.
 """
 
 import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from entgeo import (
     boundary_contours,
     build_plane,
     closest_pt_state,
+    closest_pt_states,
+    hs_norm,
     make_named,
     negativity,
     partial_transpose,
     project_simplex_psd,
     robustness_to_identity,
     sample_hs_random,
+    sample_hs_random_stack,
     scan_plane,
     state_at,
     validate_state,
@@ -39,10 +43,20 @@ def report(criterion, ok, detail=""):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+SweepResult = namedtuple("SweepResult", "d_min rank distance_exact rho_s_is_positive")
+
+
 @pytest.fixture(scope="module")
 def hs_sweep():
-    """Projection results for 10^4 seed-pinned HS-random two-qubit states."""
-    return [closest_pt_state(sample_hs_random(4, seed)) for seed in range(N_SAMPLES)]
+    """Projection results for 10^4 seed-pinned HS-random two-qubit states, one per seed."""
+    rhos = sample_hs_random_stack(4, range(N_SAMPLES))
+    res = closest_pt_states(rhos, (2, 2))
+    return [
+        SweepResult(float(d[0]), int(rank), hs_norm(rho - rho_s), bool(positive))
+        for d, rank, rho, rho_s, positive in zip(
+            res.d, res.rank, rhos, res.rho_s, res.rho_s_is_positive
+        )
+    ]
 
 
 def npt_results(sweep):

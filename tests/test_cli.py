@@ -58,6 +58,22 @@ class TestProject:
         assert code == 0
         assert "negativity:           1.0000000000000000" in out
 
+    @pytest.mark.parametrize("tag, dims", [("w", "2x4"), ("bell", "2x2")])
+    def test_tag_wins_over_same_named_file(self, tmp_path, capsys, monkeypatch, tag, dims):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / tag).write_text(state_to_json(sample_hs_random(9, 0, dims=(3, 3))))
+        code, out, _ = run(capsys, "project", "--state", tag)
+        assert code == 0
+        assert f"dims {dims}" in out
+
+    @pytest.mark.parametrize("name", ["w.json", "mystate"])
+    def test_other_paths_load_as_files(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(state_to_json(sample_hs_random(9, 0, dims=(3, 3))))
+        code, out, _ = run(capsys, "project", "--state", name)
+        assert code == 0
+        assert "dims 3x3" in out
+
     def test_non_finite_state_exits_2(self, tmp_path, capsys):
         doc = json.loads(state_to_json(make_named("max_mixed4")))
         doc["matrix"][0][0] = [float("nan"), 0.0]
@@ -147,6 +163,12 @@ class TestStats:
             main(["stats", "--samples", samples])
         assert exc.value.code == 2
         assert "--samples: must be a positive integer" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "stats", "--samples", "10", "--seed=-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seeds must be non-negative, got -1\n"
 
     def test_block_size_does_not_change_output(self, capsys, monkeypatch):
         argv = ["stats", "--samples", "300", "--seed", "4", "--dims", "2x3"]

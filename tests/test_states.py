@@ -3,9 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_projection as ref
 from entgeo import (
     eig_hermitian,
     hs_norm,
@@ -13,6 +14,7 @@ from entgeo import (
     max_mixed,
     partial_transpose,
     sample_hs_random,
+    sample_hs_random_stack,
     state_from_json,
     state_to_json,
     validate_state,
@@ -149,6 +151,38 @@ class TestSampling:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             sample_hs_random(1, 0)
+
+    def test_rejects_negative_seeds(self):
+        with pytest.raises(ValueError, match="seeds must be non-negative, got -3$"):
+            sample_hs_random_stack(4, [5, -3, 2**64, -1])
+        with pytest.raises(ValueError, match="got -1$"):
+            sample_hs_random(4, -1)
+
+
+# SeedSequence splits a seed into 32-bit words and mixes the words beyond its
+# 4-word pool in a separate loop, so the sampler is checked across each
+# word-width edge and with seeds of several widths in one block
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**200]
+seeds_near_edges = st.one_of(
+    st.builds(lambda edge, offset: max(edge + offset, 0), st.sampled_from(SEED_EDGES), st.integers(-3, 3)),
+    st.integers(0, 2**256),
+)
+
+
+class TestSamplerContract:
+    """Row i of a stack is bitwise the state built from np.random.default_rng(seeds[i])."""
+
+    @given(st.lists(seeds_near_edges, min_size=1, max_size=12), st.sampled_from([4, 6, 9]))
+    @example(SEED_EDGES, 4)
+    @example(SEED_EDGES[::-1], 9)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_default_rng(self, seeds, n):
+        stack = sample_hs_random_stack(n, seeds)
+        for row, seed in zip(stack, seeds):
+            assert np.array_equal(row, ref.sample_hs_random(n, seed).matrix)
+        # a seed's row does not depend on its neighbours or its position
+        assert np.array_equal(sample_hs_random_stack(n, seeds[::-1]), stack[::-1])
+        assert np.array_equal(sample_hs_random_stack(n, seeds[-1:])[0], stack[-1])
 
 
 class TestValidateState:
