@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -20,7 +21,8 @@ EXIT_IO = 3
 
 def _format_matrix(m: np.ndarray) -> str:
     rows = []
-    for row in m:
+    # Python numbers format faster than numpy scalars, to the same text
+    for row in m.tolist():
         cells = []
         for z in row:
             if abs(z.imag) > 5e-7:
@@ -29,6 +31,35 @@ def _format_matrix(m: np.ndarray) -> str:
                 cells.append(f"{z.real:+9.6f}")
         rows.append("  ".join(cells))
     return "\n".join(rows)
+
+
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _report_json(obj, indent: str = "") -> str:
+    """Exactly ``json.dumps(obj, indent=1)`` for str-keyed dicts, lists, tuples and JSON scalars.
+
+    ``json.dumps`` with an indent runs its pure-Python encoder; this writes the
+    same layout and hands each key and non-finite or non-float scalar to the C
+    encoder. Finite floats take ``float.__repr__``, as ``json`` writes them.
+    """
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        items = (",\n" + inner).join(
+            [float.__repr__(v) if type(v) is float and math.isfinite(v) else _report_json(v, inner) for v in obj]
+        )
+        return f"[\n{inner}{items}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + " "
+        items = (",\n" + inner).join([f"{_encode_scalar(k)}: {_report_json(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{items}\n{indent}}}"
+    return _encode_scalar(obj)
 
 
 def _resolve_state(spec: str) -> states.DensityMatrix:
@@ -59,12 +90,13 @@ def cmd_project(args) -> int:
     d = res.pt_spectrum
     neg = float(projection.pt_negativity(d, rho.dims))
     robustness = float(projection.pt_robustness(d))
+    spectrum, e_squared = d.tolist(), res.e_squared.tolist()
     # positive only by grace of the tolerance: min eigenvalue in [-1e-9, 0)
     borderline = res.rho_s_is_positive and res.rho_s_min_eig < 0
 
     print(f"state: {args.state}  dims {rho.dims[0]}x{rho.dims[1]}  PT over {args.subsystem}")
-    print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in d))
-    print("E^2 (descending):        " + "  ".join(f"{x: .10f}" for x in res.e_squared))
+    print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in spectrum))
+    print("E^2 (descending):        " + "  ".join(f"{x: .10f}" for x in e_squared))
     print(f"lambda:               {res.lam:.12f}")
     print(f"kept indices:         {list(res.kept_indices)} (rank {res.rank})")
     print(f"distance (exact):     {res.distance_exact:.16f}")
@@ -81,8 +113,8 @@ def cmd_project(args) -> int:
             "input": args.state,
             "dims": list(rho.dims),
             "subsystem": args.subsystem,
-            "pt_spectrum": [float(x) for x in d],
-            "e_squared": [float(x) for x in res.e_squared],
+            "pt_spectrum": spectrum,
+            "e_squared": e_squared,
             "lambda": res.lam,
             "kept_indices": list(res.kept_indices),
             "distance_exact": res.distance_exact,
@@ -94,7 +126,7 @@ def cmd_project(args) -> int:
             "d_min": res.d_min,
             "rho_s": states.state_to_dict(states.DensityMatrix(res.closest_pt_state, rho.dims)),
         }
-        _write_text(args.json, json.dumps(report, indent=1))
+        _write_text(args.json, _report_json(report))
     return EXIT_OK
 
 
@@ -238,13 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="named tag (w, bell-psi-plus, ...) or JSON path")
     p.add_argument("--subsystem", choices=["A", "B"], default="B")
     p.add_argument("--json", help="also write a machine-readable report here")
-    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("stats", help="Monte-Carlo statistics over random states")
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--dims", type=_parse_dims, default=(2, 2))
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("scan", help="scan a 2-D plane and export the grid as CSV")
     p.add_argument("--plane", required=True, help="ff1|ff2|ff3|ff4|ff8, random:<seed>, or 'a.json,b.json'")
@@ -253,14 +283,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--contours", type=_parse_levels, help="negativity levels, e.g. 0.1,0.2,0.5")
     p.add_argument("--contour-out")
-    p.set_defaults(func=cmd_scan)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import; parsing leaves no state in it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one entgeo command; may be called repeatedly in one process."""
+    args = _parser().parse_args(argv)
+    # the handlers are looked up when called, so a replaced module attribute is the one that runs
+    command = {"project": cmd_project, "stats": cmd_stats, "scan": cmd_scan}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

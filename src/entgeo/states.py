@@ -267,13 +267,16 @@ def state_from_json(text: str) -> DensityMatrix:
     """Parse the interchange schema and validate the state."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integer literals too long to convert, and deep nesting
         raise ValueError(f"malformed state document: {exc}") from exc
     try:
-        da, db = (int(d) for d in doc["dims"])
+        da, db = doc["dims"]
+        # JSON integers only: no floats to truncate, no bools, nothing below 1
+        if not all(type(d) is int and d > 0 for d in (da, db)):
+            raise ValueError(f"dims must be two positive integers, got {doc['dims']!r}")
         rows = doc["matrix"]
         m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != da * db:
         raise ValueError(f"dims [{da},{db}] inconsistent with a {m.shape} matrix")

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from entgeo import DensityMatrix, closest_pt_state, make_named, sample_hs_random, state_from_json, state_to_json
 from entgeo import cli
@@ -82,6 +85,13 @@ class TestProject:
         code, _, err = run(capsys, "project", "--state", str(path))
         assert code == 2
         assert "state has non-finite entries" in err
+
+    def test_overflowing_dims_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"dims": [1e400, 2], "matrix": [[[1.0, 0.0]]]}')
+        code, _, err = run(capsys, "project", "--state", str(path))
+        assert code == 2
+        assert err == "error: malformed state document: dims must be two positive integers, got [inf, 2]\n"
 
     @pytest.mark.parametrize("subsystem", ["A", "B"])
     @pytest.mark.parametrize("state", ["w", "bell", "hs-3x3"])
@@ -259,3 +269,89 @@ class TestScan:
             capsys, "scan", "--plane", "ff1", "--resolution", "2", "--out", "/nonexistent/g.csv"
         )
         assert code == 3
+
+
+report_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.floats().map(np.float64) | st.text(max_size=8)
+)
+report_trees = st.recursive(
+    report_scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=30,
+)
+
+# argv pieces for `entgeo project`; no '/', so every path stays in the test's directory
+argv_tokens = st.one_of(
+    st.sampled_from(
+        ["--state", "--subsystem", "--json", "--st", "--j", "-h", "--", "A", "B", "C", "w", "bell", "qd",
+         "max_mixed(4)", "max-mixed8", "max_mixed(0)", "nonsense", "state.json", "bad.json", "dir.json",
+         "report.json", "missing.json"]
+    ),
+    st.text(alphabet=st.characters(exclude_characters="/"), max_size=10),
+)
+
+
+class TestMain:
+    @given(report_trees)
+    @example(
+        {
+            "floats": [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 0.1],
+            "text": 'ü "quoted" back\\slash \n\t\u2028 \U0001f600',
+            "scalars": (0, -12345678901234567890, True, False, None),
+            "empty": [[], {}, ()],
+            "nested": {"a": {"b": [[1.5, -2.5]]}},
+        }
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_report_writer_is_json_dumps_indent_1(self, obj):
+        assert cli._report_json(obj) == json.dumps(obj, indent=1)
+
+    def test_interleaved_calls_write_what_first_calls_write(self, tmp_path, capsys):
+        outputs = [tmp_path / "report.json", tmp_path / "grid.csv", tmp_path / "grid.contours.json"]
+        calls = {
+            "project": ["project", "--state", "bell", "--subsystem", "A", "--json", str(outputs[0])],
+            "stats": ["stats", "--samples", "40", "--seed", "5", "--dims", "2x3"],
+            "scan": ["scan", "--plane", "ff3", "--resolution", "9", "--out", str(outputs[1]), "--contours", "0.2"],
+            "usage error": ["project", "--subsystem", "C"],
+        }
+
+        def call(name):
+            try:
+                code = main(calls[name])
+            except SystemExit as exc:
+                code = exc.code
+            written = []
+            for path in outputs:
+                written.append(path.read_bytes() if path.exists() else None)
+                path.unlink(missing_ok=True)
+            return code, capsys.readouterr(), written
+
+        cli._parser.cache_clear()
+        first = {name: call(name) for name in calls}
+        assert first["usage error"][0] == 2
+        for name in ["usage error", "scan", "project", "usage error", "stats", "project", "scan", "stats"]:
+            assert call(name) == first[name], name
+
+    def test_main_runs_the_current_cmd_project(self, capsys, monkeypatch):
+        # the parser exists before the patch, so a handler bound into it would be the old one
+        assert main(["project", "--state", "bell"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_project", lambda args: seen.append(args.state) or 0)
+        assert main(["project", "--state", "w"]) == 0
+        assert seen == ["w"]
+
+    @given(st.lists(argv_tokens, max_size=7))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_project_argv_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, tokens):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "state.json").write_text(state_to_json(sample_hs_random(6, 1, dims=(2, 3))))
+        (tmp_path / "bad.json").write_text('{"dims": [1e400, 2], "matrix": [[[1.0, 0.0]]]}')
+        (tmp_path / "dir.json").mkdir(exist_ok=True)
+        try:
+            code = main(["project", *tokens])
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2, 3)

@@ -19,7 +19,7 @@ from entgeo import (
     state_to_json,
     validate_state,
 )
-from entgeo.states import DensityMatrix
+from entgeo.states import DensityMatrix, state_to_dict
 
 random_state = st.builds(
     lambda seed, n: sample_hs_random(n, seed), st.integers(0, 2**32 - 1), st.sampled_from([4, 6, 8])
@@ -107,20 +107,15 @@ class TestPartialTranspose:
 
     def test_at_most_one_negative_pt_eigenvalue_two_qubits(self):
         # bulk statistical property of two-qubit PT spectra
-        violations = 0
-        for seed in range(10_000):
-            rho = sample_hs_random(4, seed)
-            d = np.linalg.eigvalsh(partial_transpose(rho, "B"))
-            if np.sum(d < -1e-12) > 1:
-                violations += 1
+        d = np.linalg.eigvalsh(partial_transpose(sample_hs_random_stack(4, range(10_000)), "B", (2, 2)))
+        violations = int(np.count_nonzero(np.sum(d < -1e-12, axis=-1) > 1))
         assert violations == 0
 
 
 class TestSampling:
     def test_psd_trace_one_many_seeds(self):
-        for seed in range(1000):
-            rho = sample_hs_random(4, seed)
-            validate_state(rho.matrix, rho.dims)
+        for rho in sample_hs_random_stack(4, range(1000)):
+            validate_state(rho, (2, 2))
 
     def test_deterministic_per_seed(self):
         a = sample_hs_random(4, 1234)
@@ -129,10 +124,8 @@ class TestSampling:
 
     def test_mean_purity_matches_hs_measure(self):
         # E[tr rho^2] = 2n/(n^2+1) under the Hilbert-Schmidt measure
-        purities = [
-            np.trace(sample_hs_random(4, seed).matrix @ sample_hs_random(4, seed).matrix).real
-            for seed in range(10_000)
-        ]
+        rhos = sample_hs_random_stack(4, range(10_000))
+        purities = np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
         assert np.mean(purities) == pytest.approx(8 / 17, abs=0.01)
 
     def test_mean_purity_independent_oracle(self):
@@ -230,7 +223,57 @@ class TestValidateState:
             validate_state(np.full((4, 4), np.nan), (2, 3))
 
 
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_trees = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def mutated_state_docs(draw):
+    """A valid state document with one to three entries replaced by arbitrary JSON or deleted."""
+    doc = state_to_dict(draw(st.sampled_from([make_named("bell_psi_plus"), max_mixed(6), make_named("w_state")])))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            if draw(st.booleans()):
+                node[key] = draw(json_trees)
+            else:
+                del node[key]
+            break
+    return doc
+
+
+# valid except for dims; each passed or crashed before dims had to be positive JSON integers
+MAX_MIXED_4 = state_to_dict(max_mixed(4))["matrix"]
+BAD_DIMS = {"overflow": "[1e400, 2]", "negative": "[-2, -2]", "fractional": "[2.9, 2]", "bool": "[true, 4]"}
+
+
 class TestJson:
+    @pytest.mark.parametrize("dims", BAD_DIMS.values(), ids=BAD_DIMS.keys())
+    def test_dims_must_be_positive_integers(self, dims):
+        text = f'{{"dims": {dims}, "matrix": {json.dumps(MAX_MIXED_4)}}}'
+        with pytest.raises(ValueError, match="^malformed state document: dims must be two positive integers"):
+            state_from_json(text)
+
+    @given(st.one_of(json_trees, mutated_state_docs()).map(json.dumps))
+    @example(f'{{"dims": [1e400, 2], "matrix": {json.dumps(MAX_MIXED_4)}}}')
+    @example(f'{{"dims": [1, 1], "matrix": [[[{"9" * 400}, 0]]]}}')
+    @example("[" * 100_000)
+    @example(f'[{"9" * 5000}]')
+    @settings(max_examples=200, deadline=None)
+    def test_any_document_fails_only_with_value_error(self, text):
+        try:
+            state_from_json(text)
+        except ValueError:
+            pass
+
     def test_round_trip_w(self):
         rho = make_named("w_state")
         back = state_from_json(state_to_json(rho))
