@@ -86,7 +86,7 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_project(args) -> int:
     rho = _resolve_state(args.state)
-    res = projection.closest_pt_state(rho, args.subsystem)
+    res = projection.closest_pt_state(rho)
     d = res.pt_spectrum
     neg = float(projection.pt_negativity(d, rho.dims))
     robustness = float(projection.pt_robustness(d))
@@ -94,7 +94,7 @@ def cmd_project(args) -> int:
     # positive only by grace of the tolerance: min eigenvalue in [-1e-9, 0)
     borderline = res.rho_s_is_positive and res.rho_s_min_eig < 0
 
-    print(f"state: {args.state}  dims {rho.dims[0]}x{rho.dims[1]}  PT over {args.subsystem}")
+    print(f"state: {args.state}  dims {rho.dims[0]}x{rho.dims[1]}  PT over B")
     print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in spectrum))
     print("E^2 (descending):        " + "  ".join(f"{x: .10f}" for x in e_squared))
     print(f"lambda:               {res.lam:.12f}")
@@ -112,7 +112,7 @@ def cmd_project(args) -> int:
         report = {
             "input": args.state,
             "dims": list(rho.dims),
-            "subsystem": args.subsystem,
+            "subsystem": "B",
             "pt_spectrum": spectrum,
             "e_squared": e_squared,
             "lambda": res.lam,
@@ -130,9 +130,10 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-# States per batched block in cmd_stats; bounds the matrix stacks whatever
-# --samples is. Every state is computed on its own, so the block size changes
-# no printed value.
+# States per batched block in cmd_stats at n = 4. A block holds
+# _STATS_BLOCK * 16 matrix elements whatever n, so the matrix stacks are
+# bounded whatever --samples and --dims are. Every state is computed on its
+# own, so the block size changes no printed value.
 _STATS_BLOCK = 512
 
 # Two-qubit NPT probability under the Hilbert-Schmidt measure: the PPT (here
@@ -144,13 +145,14 @@ def cmd_stats(args) -> int:
     da, db = args.dims
     n = da * db
     samples = args.samples
+    rows = max(1, _STATS_BLOCK * 16 // n**2)
     npt = 0
     positive = 0
     rank2 = 0
     rank2_positive = 0
     neg_sum = 0.0
-    for start in range(0, samples, _STATS_BLOCK):
-        seeds = range(args.seed + start, args.seed + min(start + _STATS_BLOCK, samples))
+    for start in range(0, samples, rows):
+        seeds = range(args.seed + start, args.seed + min(start + rows, samples))
         rhos = states.sample_hs_random_stack(n, seeds)
         pt = linalg.eig_hermitian(states.partial_transpose(rhos, "B", (da, db)))
         # only the NPT states go on to the projection
@@ -190,11 +192,11 @@ _PLANE_ANCHORS = {
 
 
 def resolve_plane(spec: str) -> geometry.Plane:
-    """Plane from a named tag, random(seed), or two JSON state paths joined by ','."""
+    """Plane from a named tag, random:<seed>, or two states joined by ',', each a tag or a JSON path."""
     if spec in _PLANE_ANCHORS:
         n1, n2 = _PLANE_ANCHORS[spec]
         return geometry.build_plane(states.make_named(n1), states.make_named(n2))
-    m = re.fullmatch(r"random[:(](\d+)\)?", spec)
+    m = re.fullmatch(r"random:(\d+)", spec)
     if m:
         seed = int(m.group(1))
         rho1 = states.sample_hs_random(4, seed, dims=(2, 2))
@@ -202,12 +204,9 @@ def resolve_plane(spec: str) -> geometry.Plane:
         return geometry.build_plane(rho1, rho2)
     if "," in spec:
         p1, p2 = spec.split(",", 1)
-        return geometry.build_plane(
-            states.state_from_json(Path(p1).read_text()),
-            states.state_from_json(Path(p2).read_text()),
-        )
+        return geometry.build_plane(_resolve_state(p1), _resolve_state(p2))
     raise ValueError(
-        f"unknown plane {spec!r}; use ff1|ff2|ff3|ff4|ff8, random:<seed>, or two JSON paths"
+        f"unknown plane {spec!r}; use ff1|ff2|ff3|ff4|ff8, random:<seed>, or two states 'a,b' (tags or JSON paths)"
     )
 
 
@@ -237,7 +236,10 @@ def _parse_dims(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
         raise argparse.ArgumentTypeError("dims must look like 2x2")
-    return int(m.group(1)), int(m.group(2))
+    da, db = int(m.group(1)), int(m.group(2))
+    if not (da >= 1 and db >= 1 and da * db <= states.MAX_DIM):
+        raise argparse.ArgumentTypeError(f"dims need dA, dB >= 1 and dA*dB <= {states.MAX_DIM}, got {text!r}")
+    return da, db
 
 
 def _positive_int(text: str) -> int:
@@ -268,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="projection report for a single state")
     p.add_argument("--state", required=True, help="named tag (w, bell-psi-plus, ...) or JSON path")
-    p.add_argument("--subsystem", choices=["A", "B"], default="B")
     p.add_argument("--json", help="also write a machine-readable report here")
 
     p = sub.add_parser("stats", help="Monte-Carlo statistics over random states")
@@ -277,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=(2, 2))
 
     p = sub.add_parser("scan", help="scan a 2-D plane and export the grid as CSV")
-    p.add_argument("--plane", required=True, help="ff1|ff2|ff3|ff4|ff8, random:<seed>, or 'a.json,b.json'")
-    p.add_argument("--resolution", type=int, default=401)
+    p.add_argument("--plane", required=True, help="ff1|ff2|ff3|ff4|ff8, random:<seed>, or two states 'a,b' (tags or JSON paths)")
+    p.add_argument("--resolution", type=int, default=401, help=f"steps per axis, 2 to {geometry.MAX_RESOLUTION}")
     p.add_argument("--range", type=_parse_range, default=(-0.9, 0.9), help="axis range lo:hi, lo < hi; write a negative lo as --range=-0.5:0.5")
     p.add_argument("--out", required=True)
     p.add_argument("--contours", type=_parse_levels, help="negativity levels, e.g. 0.1,0.2,0.5")

@@ -16,13 +16,20 @@ from itertools import repeat
 import numpy as np
 
 from .linalg import hs_inner, hs_norm
-from .projection import above_noise_floor, pt_negativity
+from .projection import STATE_BODY_SLACK, above_noise_floor, pt_negativity
 from .states import DensityMatrix, partial_transpose
 
-# Cells per batched eigensolve in scan_plane; bounds the complex matrix stacks
-# to a few MB whatever the resolution. eigvalsh works matrix by matrix, so the
-# block size does not change any value.
+# Cells per batched eigensolve in scan_plane at n = 4. A block holds
+# _SCAN_BLOCK * 16 matrix elements whatever n, so the complex matrix stacks
+# stay a few MB whatever the resolution and the plane's dimension. eigvalsh
+# works matrix by matrix, so the block size does not change any value.
 _SCAN_BLOCK = 16384
+
+# Most steps per axis of a scan, checked before anything is built. The grid
+# and its CSV text take ~250 B per cell: `entgeo scan --plane random:1
+# --resolution 1601` with 5 contour levels peaks at 629 MB RSS (x86-64,
+# NumPy 2.4, OpenBLAS 1 thread).
+MAX_RESOLUTION = 1601
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,14 @@ def build_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> Plane:
     return Plane(n=n, anchor1=rho1, anchor2=rho2, a1=a1, a2=a2)
 
 
-def state_at(plane: Plane, a: float, b: float) -> np.ndarray:
-    """The plane point I/n + a*A1 + b*A2 (Hermitian, trace 1; PSD not guaranteed)."""
+def state_at(plane: Plane, a, b) -> np.ndarray:
+    """The plane points I/n + a*A1 + b*A2 (Hermitian, trace 1; PSD not guaranteed).
+
+    ``a`` and ``b`` are scalars or arrays of one shape s; the result has shape
+    s + (n, n).
+    """
+    a = np.asarray(a, dtype=float)[..., None, None]
+    b = np.asarray(b, dtype=float)[..., None, None]
     return np.eye(plane.n) / plane.n + a * plane.a1 + b * plane.a2
 
 
@@ -102,12 +115,7 @@ class ScanGrid:
 
 
 def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = plane.n
-    ms = (
-        np.eye(n) / n
-        + pts[:, 0, None, None] * plane.a1
-        + pts[:, 1, None, None] * plane.a2
-    )
+    ms = state_at(plane, pts[:, 0], pts[:, 1])
     eigs = np.linalg.eigvalsh(ms)
     eigs_pt = np.linalg.eigvalsh(partial_transpose(ms, "B", plane.dims))
     return eigs[:, 0], eigs_pt[:, 0], pt_negativity(eigs_pt, plane.dims)
@@ -117,8 +125,8 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     """Evaluate the spectral fields over the grid; deterministic, in fixed-size blocks."""
     a_min, a_max, na = a_range
     b_min, b_max, nb = b_range
-    if na < 2 or nb < 2:
-        raise ValueError("need at least 2 steps per axis")
+    if not (2 <= na <= MAX_RESOLUTION and 2 <= nb <= MAX_RESOLUTION):
+        raise ValueError(f"need 2 to {MAX_RESOLUTION} steps per axis, got {na}x{nb}")
     if not (np.isfinite([a_min, a_max, b_min, b_max]).all() and a_min < a_max and b_min < b_max):
         raise ValueError(f"axis ranges need finite bounds with lo < hi, got {a_min}:{a_max}, {b_min}:{b_max}")
     a_values = np.linspace(a_min, a_max, na)
@@ -129,8 +137,9 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     min_eig = np.empty(len(pts))
     min_eig_pt = np.empty(len(pts))
     neg = np.empty(len(pts))
-    for start in range(0, len(pts), _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
+    rows = max(1, _SCAN_BLOCK * 16 // plane.n**2)
+    for start in range(0, len(pts), rows):
+        block = slice(start, start + rows)
         min_eig[block], min_eig_pt[block], neg[block] = _scan_block(plane, pts[block])
 
     shape = (na, nb)
@@ -305,15 +314,15 @@ def _bilinear(grid: ScanGrid, f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
     )
 
 
-def _in_state_body(grid: ScanGrid, pts: np.ndarray, slack: float) -> np.ndarray:
-    return _bilinear(grid, grid.min_eig, pts[:, 0], pts[:, 1]) >= -slack
+def _in_state_body(grid: ScanGrid, pts: np.ndarray) -> np.ndarray:
+    return _bilinear(grid, grid.min_eig, pts[:, 0], pts[:, 1]) >= -STATE_BODY_SLACK
 
 
-def _restrict_to_state_body(grid: ScanGrid, lines, slack: float = 1e-6):
+def _restrict_to_state_body(grid: ScanGrid, lines):
     """Keep only polyline points inside the state body, splitting where cut."""
     out = []
     for line in lines:
-        inside = np.concatenate(([False], _in_state_body(grid, line, slack), [False]))
+        inside = np.concatenate(([False], _in_state_body(grid, line), [False]))
         # runs of inside points start and stop where the padded mask flips
         flips = np.flatnonzero(inside[1:] != inside[:-1])
         for start, stop in zip(flips[::2].tolist(), flips[1::2].tolist()):
@@ -322,10 +331,10 @@ def _restrict_to_state_body(grid: ScanGrid, lines, slack: float = 1e-6):
     return out
 
 
-def points_in_state_body(grid: ScanGrid, points, slack: float = 1e-6) -> np.ndarray:
-    """Subset of (a, b) points whose interpolated min eigenvalue is nonnegative."""
+def points_in_state_body(grid: ScanGrid, points) -> np.ndarray:
+    """Subset of (a, b) points whose interpolated min eigenvalue is >= -STATE_BODY_SLACK."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return pts[_in_state_body(grid, pts, slack)]
+    return pts[_in_state_body(grid, pts)]
 
 
 def radial_similarity_residual(grid: ScanGrid, level: float) -> float:

@@ -4,7 +4,8 @@ Implements the three-step closest-partially-transposed-state algorithm
 (eigendecompose rho^PT, project the spectrum onto the probability simplex,
 undo the partial transpose). The ascending PT spectrum of step 1 is the one
 spectral core: negativity, robustness against mixing with the identity and
-the two-qubit closed-form distance are pure functions of it.
+the two-qubit closed-form distance are pure functions of it. The PT is over
+B; over A all agree: sigma^{T_A} = (sigma^T)^{T_B}, and sigma^T is a state.
 
 Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
 ``linalg.DEFAULT_TOL`` (1e-9). ``PPT_EIG_TOL`` (1e-10) is the eigensolver
@@ -12,8 +13,9 @@ noise floor of the one predicate :func:`above_noise_floor`: a least eigenvalue
 >= -1e-10 counts as PSD, for PT spectra (PPT; robustness, two-qubit negativity
 and distance read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). rho_s
 is positive at >= -``PSD_REPORT_TOL`` (1e-9), borderline in [-1e-9, 0). Contour
-points whose interpolated least eigenvalue is >= -1e-6 are in the state body;
-crossings equal to ``geometry._NODE_DECIMALS`` (9) decimals are one node.
+points whose interpolated least eigenvalue is >= -``STATE_BODY_SLACK`` (1e-6)
+are in the state body; crossings equal to ``geometry._NODE_DECIMALS`` (9)
+decimals are one node.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .states import DensityMatrix, partial_transpose
 
 PPT_EIG_TOL = 1e-10
 PSD_REPORT_TOL = 1e-9
+STATE_BODY_SLACK = 1e-6
 
 
 def above_noise_floor(min_eig):
@@ -59,12 +62,12 @@ class ProjectionResult:
         return float(self.pt_spectrum[0])
 
 
-def project_simplex_psd(d, trace_target: float = 1.0):
-    """Euclidean projection of spectra onto {x >= 0, sum x = trace_target}, along the last axis.
+def project_simplex_psd(d):
+    """Euclidean projection of spectra onto the probability simplex {x >= 0, sum x = 1}, along the last axis.
 
     Returns (e_squared, lam, kept) with e2_i = max(d_i + lam, 0) and lam the
     unique shift normalizing the sum. Sort-and-scan, exact in one pass: lam
-    comes from the largest k with ds_k + (trace_target - sum_{j<=k} ds_j)/k > 0
+    comes from the largest k with ds_k + (1 - sum_{j<=k} ds_j)/k > 0
     over the descending spectrum ds (Duchi et al. 2008; Condat 2016); ties
     d_i + lam == 0 resolve to the zero branch. For one spectrum lam is a float
     and kept the ascending tuple of support indices; for a (..., n) stack lam
@@ -73,14 +76,14 @@ def project_simplex_psd(d, trace_target: float = 1.0):
     d = np.asarray(d, dtype=float)
     if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("empty spectrum")
-    if not np.isfinite(d).all() or trace_target <= 0:
-        raise ValueError("spectrum must be finite and trace_target > 0")
+    if not np.isfinite(d).all():
+        raise ValueError("spectrum must be finite")
     n = d.shape[-1]
     flat = d.reshape(-1, n)
     rows = np.arange(len(flat))
     order = np.argsort(flat, axis=1)[:, ::-1]  # descending
     ds = flat[rows[:, None], order]
-    cand = (trace_target - np.cumsum(ds, axis=1)) / np.arange(1, n + 1)
+    cand = (1.0 - np.cumsum(ds, axis=1)) / np.arange(1, n + 1)
     holds = ds + cand > 0
     # the last k where the condition holds; if it holds nowhere, lam = 0 and
     # one index is kept
@@ -145,37 +148,37 @@ class ProjectionBatch:
         return self.rho_s_min_eig >= -PSD_REPORT_TOL
 
 
-def project_pt_spectra(pt: EigenDecomposition, dims: tuple[int, int], subsystem: str = "B") -> ProjectionBatch:
+def project_pt_spectra(pt: EigenDecomposition, dims: tuple[int, int]) -> ProjectionBatch:
     """Steps 2 and 3 of the projection for a stack of decomposed partial transposes.
 
     Simplex-project each PT spectrum, rebuild sigma* = U E^2 U^dagger, map it
     back through the PT and take the min eigenvalue of the result.
     """
     e2, lam, kept = project_simplex_psd(pt.eigenvalues)
-    rho_s = partial_transpose(pt.rebuild(e2), subsystem, dims)
+    rho_s = partial_transpose(pt.rebuild(e2), "B", dims)
     return ProjectionBatch(
         d=pt.eigenvalues,
         e2=e2,
         lam=lam,
         kept=kept,
         rho_s=rho_s,
-        rho_s_min_eig=eig_hermitian(rho_s, PSD_REPORT_TOL).eigenvalues[..., 0],
+        rho_s_min_eig=eig_hermitian(rho_s).eigenvalues[..., 0],
     )
 
 
-def closest_pt_states(rhos, dims: tuple[int, int], subsystem: str = "B") -> ProjectionBatch:
+def closest_pt_states(rhos, dims: tuple[int, int]) -> ProjectionBatch:
     """Closest partially transposed states for a (k, n, n) stack of states."""
-    return project_pt_spectra(eig_hermitian(partial_transpose(rhos, subsystem, dims)), dims, subsystem)
+    return project_pt_spectra(eig_hermitian(partial_transpose(rhos, "B", dims)), dims)
 
 
-def closest_pt_state(rho: DensityMatrix, subsystem: str = "B") -> ProjectionResult:
+def closest_pt_state(rho: DensityMatrix) -> ProjectionResult:
     """Project rho^PT onto the trace-1 PSD cone and map back through the PT.
 
     Steps: eigendecompose rho^PT = U D U^dagger, simplex-project D into E^2,
     reconstruct sigma* = U E^2 U^dagger, return rho_s = (sigma*)^PT. The
     one-state case of :func:`closest_pt_states`.
     """
-    res = closest_pt_states(rho.matrix[None], rho.dims, subsystem)
+    res = closest_pt_states(rho.matrix[None], rho.dims)
     return ProjectionResult(
         closest_pt_state=res.rho_s[0],
         e_squared=np.sort(res.e2[0])[::-1],

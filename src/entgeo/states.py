@@ -32,10 +32,10 @@ class DensityMatrix:
         return self.dims[0] * self.dims[1]
 
 
-def validate_state(m, dims: tuple[int, int], tol: float = DEFAULT_TOL) -> DensityMatrix:
+def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
     """Check finiteness, Hermiticity, unit trace, and positivity; return a DensityMatrix.
 
-    The first violated property is reported with its magnitude.
+    The first property violated by more than ``DEFAULT_TOL`` is reported with its magnitude.
     """
     m = as_matrix(m)
     if not np.isfinite(m).all():
@@ -44,13 +44,13 @@ def validate_state(m, dims: tuple[int, int], tol: float = DEFAULT_TOL) -> Densit
     if da * db != m.shape[0]:
         raise ValueError(f"dims {dims} inconsistent with matrix size {m.shape[0]}")
     asym = asymmetry(m)
-    if asym > tol:
+    if asym > DEFAULT_TOL:
         raise ValueError(f"not Hermitian, asymmetry {asym:.4g}")
     tr = complex(np.trace(m))
-    if abs(tr - 1) > tol:
+    if abs(tr - 1) > DEFAULT_TOL:
         raise ValueError(f"trace != 1, got {tr.real:.6g}")
-    min_eig = eig_hermitian(m, tol).eigenvalues[0]
-    if min_eig < -tol:
+    min_eig = eig_hermitian(m).eigenvalues[0]
+    if min_eig < -DEFAULT_TOL:
         raise ValueError(f"not PSD, min eigenvalue {min_eig:.4g}")
     return DensityMatrix(matrix=m, dims=(da, db))
 
@@ -121,12 +121,21 @@ _NAMED: dict[str, callable] = {
 
 NAMED_STATE_TAGS = tuple(_NAMED) + ("max_mixed(n)",)
 
+# Largest dA*dB of a state built from its size alone (max_mixed, `entgeo stats
+# --dims`): one complex matrix is then at most 16 MiB. A JSON state is bounded
+# by its file.
+MAX_DIM = 1024
 
-def max_mixed(n: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
-    """The maximally mixed state I/n."""
-    if dims is None:
-        dims = (2, n // 2) if n % 2 == 0 else (1, n)
-    return DensityMatrix(matrix=np.eye(n, dtype=np.complex128) / n, dims=dims)
+
+def _default_dims(n: int) -> tuple[int, int]:
+    return (2, n // 2) if n % 2 == 0 else (1, n)
+
+
+def max_mixed(n: int) -> DensityMatrix:
+    """The maximally mixed state I/n for 1 <= n <= MAX_DIM, dims (2, n/2) for even n, else (1, n)."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"max_mixed(n) needs 1 <= n <= {MAX_DIM}, got {n}")
+    return DensityMatrix(matrix=np.eye(n, dtype=np.complex128) / n, dims=_default_dims(n))
 
 
 def make_named(name: str) -> DensityMatrix:
@@ -248,9 +257,7 @@ def sample_hs_random(n: int, rng_seed: int, dims: tuple[int, int] | None = None)
     equal to the matching row of :func:`sample_hs_random_stack`.
     """
     rho = sample_hs_random_stack(n, [rng_seed])[0]
-    if dims is None:
-        dims = (2, n // 2) if n % 2 == 0 else (1, n)
-    return DensityMatrix(matrix=rho, dims=dims)
+    return DensityMatrix(matrix=rho, dims=_default_dims(n) if dims is None else dims)
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from entgeo import DensityMatrix, closest_pt_state, make_named, sample_hs_random, state_from_json, state_to_json
+from entgeo import (
+    DensityMatrix,
+    closest_pt_state,
+    eig_hermitian,
+    make_named,
+    partial_transpose,
+    sample_hs_random,
+    state_from_json,
+    state_to_json,
+)
 from entgeo import cli
 from entgeo.cli import main
 from entgeo.projection import pt_negativity, pt_robustness
@@ -16,6 +25,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("the command went past its argument checks")
 
 
 class TestProject:
@@ -41,6 +54,21 @@ class TestProject:
         code, _, err = run(capsys, "project", "--state", "nonsense")
         assert code == 2
         assert "unknown named state" in err
+
+    @pytest.mark.parametrize("n", [0, 1025])
+    def test_max_mixed_size_out_of_range_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "project", "--state", f"max_mixed({n})")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: max_mixed(n) needs 1 <= n <= 1024, got {n}\n"
+
+    def test_unreadable_state_file(self, tmp_path, capsys):
+        (tmp_path / "dir.json").mkdir()
+        with pytest.raises(ValueError, match="cannot read state file .*dir.json"):
+            cli._resolve_state(str(tmp_path / "dir.json"))
+        code, _, err = run(capsys, "project", "--state", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert err.startswith("error: cannot read state file ")
 
     def test_json_report_round_trips(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -97,14 +125,19 @@ class TestProject:
     @pytest.mark.parametrize("state", ["w", "bell", "hs-3x3"])
     def test_report_reads_one_pt_spectrum(self, tmp_path, capsys, state, subsystem):
         if state == "hs-3x3":
-            path = tmp_path / "hs.json"
-            path.write_text(state_to_json(sample_hs_random(9, 0, dims=(3, 3))))
-            state = str(path)
+            rho = sample_hs_random(9, 0, dims=(3, 3))
+            state = str(tmp_path / "hs.json")
+            (tmp_path / "hs.json").write_text(state_to_json(rho))
+        else:
+            rho = make_named({"w": "w_state", "bell": "bell_psi_plus"}[state])
         out_path = tmp_path / "report.json"
-        code, _, _ = run(capsys, "project", "--state", state, "--subsystem", subsystem, "--json", str(out_path))
+        code, _, _ = run(capsys, "project", "--state", state, "--json", str(out_path))
         assert code == 0
         report = json.loads(out_path.read_text())
         d = report["pt_spectrum"]
+        # the PT spectrum over either factor: rho^{T_A} is the transpose of rho^{T_B}
+        assert np.allclose(d, eig_hermitian(partial_transpose(rho, subsystem)).eigenvalues, rtol=0, atol=1e-14)
+        assert report["subsystem"] == "B"
         assert d[0] == report["d_min"]
         assert report["negativity"] == pt_negativity(d, tuple(report["dims"]))
         assert report["robustness"] == pt_robustness(d)
@@ -173,6 +206,43 @@ class TestStats:
             main(["stats", "--samples", samples])
         assert exc.value.code == 2
         assert "--samples: must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--samples", "abc"], "--samples: must be a positive integer, got 'abc'"),
+            (["--dims", "2by2"], "--dims: dims must look like 2x2"),
+            (["--dims", "25x41"], "--dims: dims need dA, dB >= 1 and dA*dB <= 1024, got '25x41'"),
+            (["--dims", "0x2"], "--dims: dims need dA, dB >= 1 and dA*dB <= 1024, got '0x2'"),
+        ],
+    )
+    def test_bad_argument_exits_2_before_sampling(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli.states, "sample_hs_random_stack", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_dims_cap_is_inclusive(self):
+        assert cli._parse_dims("32x32") == (32, 32)
+        assert cli._parse_dims("1x1024") == (1, 1024)
+
+    @pytest.mark.parametrize(
+        "dims, samples, sizes", [("2x2", 1025, [512, 512, 1]), ("3x4", 120, [56, 56, 8]), ("4x4", 70, [32, 32, 6])]
+    )
+    def test_blocks_bound_matrix_elements(self, capsys, monkeypatch, dims, samples, sizes):
+        # _STATS_BLOCK * 16 // n^2 states per block
+        seen = []
+        sample = cli.states.sample_hs_random_stack
+
+        def recorded(n, seeds):
+            seen.append(len(seeds))
+            return sample(n, seeds)
+
+        monkeypatch.setattr(cli.states, "sample_hs_random_stack", recorded)
+        code, _, _ = run(capsys, "stats", "--samples", str(samples), "--dims", dims)
+        assert code == 0
+        assert seen == sizes
 
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "stats", "--samples", "10", "--seed=-1")
@@ -256,6 +326,50 @@ class TestScan:
         assert code == 2
         assert "unknown plane" in err
 
+    @pytest.mark.parametrize("plane", ["random(5)", "random(5", "random:5)", "random:", "random:-5"])
+    def test_only_the_colon_random_syntax(self, tmp_path, capsys, plane):
+        code, _, err = run(capsys, "scan", "--plane", plane, "--out", str(tmp_path / "g.csv"))
+        assert code == 2
+        assert err.startswith(f"error: unknown plane {plane!r}")
+
+    def test_tags_as_plane_halves(self, tmp_path, capsys):
+        pa = tmp_path / "rho1.json"
+        pa.write_text(state_to_json(make_named("bell_psi_plus")))
+        written = []
+        for plane in ["ff2", "bell,ff2_rho2", f"{pa},ff2-rho2"]:
+            out_path = tmp_path / "g.csv"
+            code, _, _ = run(capsys, "scan", "--plane", plane, "--resolution", "11", "--out", str(out_path))
+            assert code == 0
+            written.append(out_path.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize(
+        "half, message",
+        [
+            ("missing.json", "cannot read state file 'missing.json'"),
+            ("dir.json", "cannot read state file 'dir.json'"),
+            ("bad.json", "malformed state document"),
+        ],
+    )
+    def test_bad_plane_half_exits_2(self, tmp_path, capsys, monkeypatch, half, message, first):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir.json").mkdir()
+        (tmp_path / "bad.json").write_text('{"dims": [2, 2], "matrix": 5}')
+        plane = f"{half},bell" if first else f"bell,{half}"
+        code, _, err = run(capsys, "scan", "--plane", plane, "--resolution", "5", "--out", "g.csv")
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_resolution_over_cap_exits_2_before_scanning(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.geometry, "_scan_block", unreachable)
+        out_path = tmp_path / "g.csv"
+        code, _, err = run(capsys, "scan", "--plane", "ff1", "--resolution", "1602", "--out", str(out_path))
+        assert code == 2
+        assert err == "error: need 2 to 1601 steps per axis, got 1602x1602\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("bounds", ["0.9:-0.9", "0.5:0.5", "nan:0.5", "-0.5:inf"])
     def test_bad_range_exits_2(self, tmp_path, capsys, bounds):
         out_path = tmp_path / "g.csv"
@@ -292,6 +406,28 @@ argv_tokens = st.one_of(
     st.text(alphabet=st.characters(exclude_characters="/"), max_size=10),
 )
 
+# argv pieces for `entgeo stats` and `entgeo scan`: valid sizes are small, so
+# every run is quick; free text has no digits, so it never reads as a size
+free_text = st.text(alphabet=st.characters(exclude_categories=("Cs", "Nd"), exclude_characters="/"), max_size=10)
+stats_tokens = st.one_of(
+    st.sampled_from(
+        ["--samples", "--seed", "--dims", "--sa", "--d", "-h", "--", "1", "3", "20", "0", "-3", "abc", "1e3",
+         "2x2", "2x3", "3x3", "1x1", "0x2", "2by2", "25x41", "32x33", "99999999999x99999999999", "--seed=-1",
+         "18446744073709551616"]
+    ),
+    free_text,
+)
+scan_tokens = st.one_of(
+    st.sampled_from(
+        ["--plane", "--resolution", "--range", "--out", "--contours", "--contour-out", "-h", "--", "ff1", "ff3",
+         "ff9", "random:3", "random(5)", "random:", "bell,ff2_rho2", "w,bell", "state.json,bell", "bad.json,bell",
+         "dir.json,w", "missing.json,bell", ",", "2", "3", "5", "1", "0", "-1", "1602", "99999999999", "abc",
+         "--range=-0.5:0.5", "0.1:0.2", "0.5:0.5", "nan:1", "1:2:3", "g.csv", "dir.json", "nodir/g.csv",
+         "c.json", "0.1,0.2", "0.1,abc", "nan"]
+    ),
+    free_text,
+)
+
 
 class TestMain:
     @given(report_trees)
@@ -311,7 +447,7 @@ class TestMain:
     def test_interleaved_calls_write_what_first_calls_write(self, tmp_path, capsys):
         outputs = [tmp_path / "report.json", tmp_path / "grid.csv", tmp_path / "grid.contours.json"]
         calls = {
-            "project": ["project", "--state", "bell", "--subsystem", "A", "--json", str(outputs[0])],
+            "project": ["project", "--state", "bell", "--json", str(outputs[0])],
             "stats": ["stats", "--samples", "40", "--seed", "5", "--dims", "2x3"],
             "scan": ["scan", "--plane", "ff3", "--resolution", "9", "--out", str(outputs[1]), "--contours", "0.2"],
             "usage error": ["project", "--subsystem", "C"],
@@ -341,6 +477,30 @@ class TestMain:
         monkeypatch.setattr(cli, "cmd_project", lambda args: seen.append(args.state) or 0)
         assert main(["project", "--state", "w"]) == 0
         assert seen == ["w"]
+
+    @given(st.lists(stats_tokens, max_size=6))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_stats_argv_exits_0_2_or_3(self, capsys, tokens):
+        try:
+            code = main(["stats", "--samples", "20", *tokens])
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2, 3)
+
+    @given(st.lists(scan_tokens, max_size=6))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_scan_argv_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, tokens):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "state.json").write_text(state_to_json(make_named("ff2_rho2")))
+        (tmp_path / "bad.json").write_text('{"dims": [1e400, 2], "matrix": [[[1.0, 0.0]]]}')
+        (tmp_path / "dir.json").mkdir(exist_ok=True)
+        try:
+            code = main(["scan", "--plane", "ff1", "--resolution", "3", "--out", "g.csv", *tokens])
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2, 3)
 
     @given(st.lists(argv_tokens, max_size=7))
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

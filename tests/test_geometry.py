@@ -9,6 +9,7 @@ from entgeo import (
     hs_inner,
     hs_norm,
     make_named,
+    max_mixed,
     sample_hs_random,
     scan_plane,
     state_at,
@@ -102,6 +103,10 @@ class TestBuildPlane:
         with pytest.raises(ValueError, match="dimension"):
             build_plane(make_named("w_state"), make_named("bell_psi_plus"))
 
+    def test_first_anchor_at_the_center(self):
+        with pytest.raises(ValueError, match="first anchor coincides with the maximally mixed state"):
+            build_plane(max_mixed(4), make_named("bell_psi_plus"))
+
 
 class TestStateAt:
     def test_origin_is_max_mixed(self):
@@ -186,6 +191,45 @@ class TestScanPlane:
         monkeypatch.setattr(geometry, "_SCAN_BLOCK", 7)
         g2 = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
         assert grid_to_csv(g1) == grid_to_csv(g2)
+
+    @pytest.mark.parametrize(
+        "dims, block, resolution, sizes",
+        [
+            ((2, 2), 16384, 129, [16384, 257]),
+            ((2, 4), 16384, 65, [4096, 129]),
+            ((4, 4), 16384, 33, [1024, 65]),
+            ((6, 6), 16384, 15, [202, 23]),
+            ((2, 4), 3, 3, [1] * 9),
+        ],
+    )
+    def test_blocks_bound_matrix_elements(self, monkeypatch, dims, block, resolution, sizes):
+        # _SCAN_BLOCK * 16 // n^2 cells per block, and at least one
+        n = dims[0] * dims[1]
+        plane = build_plane(sample_hs_random(n, 1, dims=dims), sample_hs_random(n, 2, dims=dims))
+        seen = []
+        scan_block = geometry._scan_block
+
+        def recorded(plane, pts):
+            seen.append(len(pts))
+            return scan_block(plane, pts)
+
+        monkeypatch.setattr(geometry, "_scan_block", recorded)
+        monkeypatch.setattr(geometry, "_SCAN_BLOCK", block)
+        scan_plane(plane, (-0.1, 0.1, resolution), (-0.1, 0.1, resolution))
+        assert seen == sizes
+
+    def test_resolution_cap_is_checked_before_anything_is_built(self, monkeypatch):
+        plane = ff_plane("ff1")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("scan went past the resolution check")
+
+        monkeypatch.setattr(geometry, "_scan_block", unreachable)
+        monkeypatch.setattr(geometry.np, "meshgrid", unreachable)
+        cap = geometry.MAX_RESOLUTION
+        for na, nb in [(cap + 1, 2), (2, cap + 1)]:
+            with pytest.raises(ValueError, match=f"need 2 to {cap} steps per axis, got {na}x{nb}"):
+                scan_plane(plane, (-0.9, 0.9, na), (-0.9, 0.9, nb))
 
 
 class TestMarchingSquares:

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entgeo import eig_hermitian, hs_inner, hs_norm, is_psd
-from entgeo.linalg import asymmetry
+from entgeo.linalg import as_matrix, asymmetry
 
 from conftest import random_hermitian
 
@@ -27,6 +29,12 @@ def hermitian_pair_strategy(max_dim=6):
         return random_hermitian(rng, n), random_hermitian(rng, n)
 
     return st.builds(build, st.integers(0, 2**32 - 1), st.integers(2, max_dim))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
+def test_as_matrix_rejects_non_square(shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+        as_matrix(np.zeros(shape))
 
 
 class TestHsInner:
@@ -93,6 +101,11 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="asymmetry"):
             eig_hermitian(a)
         assert asymmetry(a) == pytest.approx(np.sqrt(2))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix or a stack of them"):
+            eig_hermitian(np.zeros(shape))
 
     @given(hermitian_strategy())
     @settings(max_examples=200)

@@ -81,6 +81,13 @@ class TestProjectSimplexPsd:
         with pytest.raises(ValueError, match="empty"):
             project_simplex_psd([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectrum(self, bad):
+        with pytest.raises(ValueError, match="spectrum must be finite"):
+            project_simplex_psd([0.5, bad, 0.5])
+        with pytest.raises(ValueError, match="spectrum must be finite"):
+            project_simplex_psd([[0.5, 0.5], [bad, 1.0]])
+
     def test_negative_entries_never_kept_for_unit_trace_spectra(self):
         # PT spectra always sum to 1; that forces lam <= 0, so negative
         # eigenvalues can never make it into the support

@@ -8,6 +8,7 @@ from entgeo import (
     closest_pt_state,
     closest_pt_states,
     eig_hermitian,
+    make_named,
     partial_transpose,
     sample_hs_random,
     sample_hs_random_stack,
@@ -74,6 +75,29 @@ def test_closest_pt_states_rows_bitwise(dims):
         assert tuple(np.flatnonzero(batch.kept[i])) == want.kept_indices
         assert batch.d[i, 0] == want.d_min
         assert (batch.rho_s_min_eig[i] >= -PSD_REPORT_TOL) == want.rho_s_is_positive
+
+
+def _invariance_states(case):
+    if case == "named":
+        return [make_named(tag) for tag in ("w_state", "bell_psi_plus", "quasi_distillable", "max_mixed(6)", "max_mixed(8)")]
+    return [ref.sample_hs_random(case[0] * case[1], seed, dims=case) for seed in range(200)]
+
+
+@pytest.mark.parametrize(
+    "case", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (1, 3), (3, 2), "named"], ids=lambda c: c if c == "named" else dims_id(c)
+)
+def test_projection_does_not_depend_on_the_transposed_factor(case):
+    # sigma^{T_A} = (sigma^{T_B})^T and transposition maps states onto states,
+    # so closest_pt_state, which transposes B, is the projection over A too
+    for rho in _invariance_states(case):
+        got = closest_pt_state(rho)
+        want = ref.closest_pt_state(rho, "A")
+        assert np.abs(got.closest_pt_state - want.closest_pt_state).max() <= 1e-14
+        assert np.abs(got.e_squared - want.e_squared).max() <= 1e-14
+        for field in ("lam", "distance_exact", "distance_closed_form", "d_min"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-14, field
+        assert got.kept_indices == want.kept_indices
+        assert got.rho_s_is_positive == want.rho_s_is_positive
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16])

@@ -19,7 +19,7 @@ from entgeo import (
     state_to_json,
     validate_state,
 )
-from entgeo.states import DensityMatrix, state_to_dict
+from entgeo.states import MAX_DIM, DensityMatrix, state_to_dict
 
 random_state = st.builds(
     lambda seed, n: sample_hs_random(n, seed), st.integers(0, 2**32 - 1), st.sampled_from([4, 6, 8])
@@ -66,6 +66,15 @@ class TestNamedStates:
         assert np.allclose(make_named("max-mixed8").matrix, np.eye(8) / 8)
         assert max_mixed(4).dims == (2, 2)
 
+    def test_max_mixed_size_is_bounded(self):
+        assert max_mixed(1).dims == (1, 1)
+        assert max_mixed(MAX_DIM).dims == (2, MAX_DIM // 2)
+        for n in (0, MAX_DIM + 1):
+            with pytest.raises(ValueError, match=f"needs 1 <= n <= {MAX_DIM}, got {n}"):
+                max_mixed(n)
+        with pytest.raises(ValueError, match="needs 1 <= n"):
+            make_named("max_mixed(0)")
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown named state"):
             make_named("ghz")
@@ -100,6 +109,10 @@ class TestPartialTranspose:
         assert np.allclose(
             partial_transpose(rho, "A"), partial_transpose(rho, "B").T, atol=1e-15
         )
+
+    def test_unknown_subsystem(self, bell):
+        with pytest.raises(ValueError, match="subsystem must be 'A' or 'B', got 'C'"):
+            partial_transpose(bell, "C")
 
     @given(random_state)
     def test_trace_preserved(self, rho):
