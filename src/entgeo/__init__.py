@@ -5,7 +5,7 @@ negativity and robustness measures derived from the PT spectrum, and 2-D
 slices of the two-qubit state body scanned as data grids.
 """
 
-from .linalg import EigenDecomposition, eig_hermitian, hs_inner, hs_norm, is_psd
+from .linalg import eig_hermitian, hs_inner, hs_norm
 from .states import (
     DensityMatrix,
     make_named,
@@ -22,11 +22,9 @@ from .projection import (
     closest_pt_state,
     closest_pt_states,
     distance_closed_form,
-    general_negativity,
-    negativity,
     project_simplex_psd,
-    robustness_to_identity,
-    two_qubit_distance,
+    pt_negativity,
+    pt_robustness,
 )
 from .geometry import (
     Plane,
@@ -40,11 +38,9 @@ from .geometry import (
 )
 
 __all__ = [
-    "EigenDecomposition",
     "eig_hermitian",
     "hs_inner",
     "hs_norm",
-    "is_psd",
     "DensityMatrix",
     "make_named",
     "max_mixed",
@@ -58,11 +54,9 @@ __all__ = [
     "closest_pt_state",
     "closest_pt_states",
     "distance_closed_form",
-    "general_negativity",
-    "negativity",
     "project_simplex_psd",
-    "robustness_to_identity",
-    "two_qubit_distance",
+    "pt_negativity",
+    "pt_robustness",
     "Plane",
     "ScanGrid",
     "boundary_contours",

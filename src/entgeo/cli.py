@@ -154,12 +154,10 @@ def cmd_stats(args) -> int:
     for start in range(0, samples, rows):
         seeds = range(args.seed + start, args.seed + min(start + rows, samples))
         rhos = states.sample_hs_random_stack(n, seeds)
-        pt = linalg.eig_hermitian(states.partial_transpose(rhos, "B", (da, db)))
+        d, u = linalg.eig_hermitian(states.partial_transpose(rhos, (da, db)))
         # only the NPT states go on to the projection
-        is_npt = ~projection.above_noise_floor(pt.eigenvalues[:, 0])
-        res = projection.project_pt_spectra(
-            linalg.EigenDecomposition(pt.eigenvalues[is_npt], pt.unitary[is_npt]), (da, db)
-        )
+        is_npt = ~projection.above_noise_floor(d[:, 0])
+        res = projection.project_pt_spectra(d[is_npt], u[is_npt], (da, db))
         # one at a time in seed order, so the sum rounds as a per-state loop's would
         for value in projection.pt_negativity(res.d, (da, db)).tolist():
             neg_sum += value
@@ -253,7 +251,10 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_levels(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    levels = [float(x) for x in text.split(",") if x.strip()]
+    if not all(map(math.isfinite, levels)):
+        raise argparse.ArgumentTypeError(f"contour levels must be finite, got {text!r}")
+    return levels
 
 
 def _parse_range(text: str) -> tuple[float, float]:

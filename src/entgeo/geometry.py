@@ -61,8 +61,8 @@ class Plane:
 
 def build_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> Plane:
     """Gram-Schmidt frame for the plane spanned by I/n, rho1, rho2."""
-    if rho1.dim != rho2.dim:
-        raise ValueError("anchors must share the total dimension")
+    if rho1.dims != rho2.dims:
+        raise ValueError(f"anchors must share the bipartition, got dimensions {rho1.dims} and {rho2.dims}")
     n = rho1.dim
     center = np.eye(n) / n
     v1 = rho1.matrix - center
@@ -117,7 +117,7 @@ class ScanGrid:
 def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ms = state_at(plane, pts[:, 0], pts[:, 1])
     eigs = np.linalg.eigvalsh(ms)
-    eigs_pt = np.linalg.eigvalsh(partial_transpose(ms, "B", plane.dims))
+    eigs_pt = np.linalg.eigvalsh(partial_transpose(ms, plane.dims))
     return eigs[:, 0], eigs_pt[:, 0], pt_negativity(eigs_pt, plane.dims)
 
 
@@ -127,8 +127,12 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     b_min, b_max, nb = b_range
     if not (2 <= na <= MAX_RESOLUTION and 2 <= nb <= MAX_RESOLUTION):
         raise ValueError(f"need 2 to {MAX_RESOLUTION} steps per axis, got {na}x{nb}")
-    if not (np.isfinite([a_min, a_max, b_min, b_max]).all() and a_min < a_max and b_min < b_max):
-        raise ValueError(f"axis ranges need finite bounds with lo < hi, got {a_min}:{a_max}, {b_min}:{b_max}")
+    # the span hi - lo must be finite too, or linspace overflows
+    spans = (a_max - a_min, b_max - b_min)
+    if not (np.isfinite([a_min, a_max, b_min, b_max, *spans]).all() and a_min < a_max and b_min < b_max):
+        raise ValueError(
+            f"axis ranges need finite bounds and span with lo < hi, got {a_min}:{a_max}, {b_min}:{b_max}"
+        )
     a_values = np.linspace(a_min, a_max, na)
     b_values = np.linspace(b_min, b_max, nb)
     aa, bb = np.meshgrid(a_values, b_values, indexing="ij")

@@ -3,15 +3,16 @@
 Implements the three-step closest-partially-transposed-state algorithm
 (eigendecompose rho^PT, project the spectrum onto the probability simplex,
 undo the partial transpose). The ascending PT spectrum of step 1 is the one
-spectral core: negativity, robustness against mixing with the identity and
-the two-qubit closed-form distance are pure functions of it. The PT is over
-B; over A all agree: sigma^{T_A} = (sigma^T)^{T_B}, and sigma^T is a state.
+spectral core: the negativity (:func:`pt_negativity`), the robustness against
+mixing with the identity (:func:`pt_robustness`) and the closed-form distance
+(:func:`distance_closed_form`) are pure functions of it. The PT is over B;
+over A all agree: sigma^{T_A} = (sigma^T)^{T_B}, and sigma^T is a state.
 
 Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
 ``linalg.DEFAULT_TOL`` (1e-9). ``PPT_EIG_TOL`` (1e-10) is the eigensolver
 noise floor of the one predicate :func:`above_noise_floor`: a least eigenvalue
->= -1e-10 counts as PSD, for PT spectra (PPT; robustness, two-qubit negativity
-and distance read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). rho_s
+>= -1e-10 counts as PSD, for PT spectra (PPT; the robustness and the two-qubit
+negativity read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). rho_s
 is positive at >= -``PSD_REPORT_TOL`` (1e-9), borderline in [-1e-9, 0). Contour
 points whose interpolated least eigenvalue is >= -``STATE_BODY_SLACK`` (1e-6)
 are in the state body; crossings equal to ``geometry._NODE_DECIMALS`` (9)
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenDecomposition, eig_hermitian, hs_norm
+from .linalg import eig_hermitian, hs_norm
 from .states import DensityMatrix, partial_transpose
 
 PPT_EIG_TOL = 1e-10
@@ -69,9 +70,8 @@ def project_simplex_psd(d):
     unique shift normalizing the sum. Sort-and-scan, exact in one pass: lam
     comes from the largest k with ds_k + (1 - sum_{j<=k} ds_j)/k > 0
     over the descending spectrum ds (Duchi et al. 2008; Condat 2016); ties
-    d_i + lam == 0 resolve to the zero branch. For one spectrum lam is a float
-    and kept the ascending tuple of support indices; for a (..., n) stack lam
-    is an array and kept a boolean support mask of the spectra's shape.
+    d_i + lam == 0 resolve to the zero branch. e_squared and the boolean
+    support mask kept have the spectra's shape (..., n), lam its leading shape.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim == 0 or d.shape[-1] == 0:
@@ -96,8 +96,6 @@ def project_simplex_psd(d):
     e2[shifted <= 0] = 0.0
     kept = np.zeros(flat.shape, dtype=bool)
     kept[rows[:, None], order] = np.arange(n) < n_keep[:, None]
-    if d.ndim == 1:
-        return e2[0], float(lam[0]), tuple(np.flatnonzero(kept).tolist())
     return e2.reshape(d.shape), lam.reshape(d.shape[:-1]), kept.reshape(d.shape)
 
 
@@ -105,15 +103,15 @@ def distance_closed_form(d, kept):
     """Spectral distance formula sqrt((sum_{Ip} d + sum_{In} d)^2/n_p + sum_{In} d^2), along the last axis.
 
     I_n are the negative eigenvalue indices, I_p the dropped nonnegative ones,
-    n_p the kept count; ``kept`` is a support mask of ``d``'s shape or one
-    spectrum's index tuple, as from :func:`project_simplex_psd`. Exact whenever
-    every dropped nonnegative eigenvalue is zero; for strictly positive ones it
-    omits their quadratic residual and slightly undershoots ``distance_exact``.
+    n_p the kept count; ``kept`` is the support mask of ``d``'s shape from
+    :func:`project_simplex_psd`. Exact whenever every dropped nonnegative
+    eigenvalue is zero; for strictly positive ones it omits their quadratic
+    residual and slightly undershoots ``distance_exact``.
     """
     d = np.asarray(d, dtype=float)
     kept = np.asarray(kept)
     if kept.dtype != bool:
-        kept = (np.arange(d.shape[-1])[:, None] == kept).any(axis=-1)
+        raise ValueError(f"kept must be a boolean support mask, got dtype {kept.dtype}")
     n_p = kept.sum(axis=-1)
     if (n_p == 0).any():
         raise ValueError("kept set is empty")
@@ -148,27 +146,28 @@ class ProjectionBatch:
         return self.rho_s_min_eig >= -PSD_REPORT_TOL
 
 
-def project_pt_spectra(pt: EigenDecomposition, dims: tuple[int, int]) -> ProjectionBatch:
-    """Steps 2 and 3 of the projection for a stack of decomposed partial transposes.
+def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> ProjectionBatch:
+    """Steps 2 and 3 of the projection for a stack of decomposed partial transposes rho^PT = U D U^dagger.
 
-    Simplex-project each PT spectrum, rebuild sigma* = U E^2 U^dagger, map it
-    back through the PT and take the min eigenvalue of the result.
+    Simplex-project each PT spectrum d, rebuild sigma* = U E^2 U^dagger from
+    the eigenvectors u, map it back through the PT and take the min eigenvalue
+    of the result.
     """
-    e2, lam, kept = project_simplex_psd(pt.eigenvalues)
-    rho_s = partial_transpose(pt.rebuild(e2), "B", dims)
+    e2, lam, kept = project_simplex_psd(d)
+    rho_s = partial_transpose((u * e2[..., None, :]) @ u.conj().swapaxes(-1, -2), dims)
     return ProjectionBatch(
-        d=pt.eigenvalues,
+        d=d,
         e2=e2,
         lam=lam,
         kept=kept,
         rho_s=rho_s,
-        rho_s_min_eig=eig_hermitian(rho_s).eigenvalues[..., 0],
+        rho_s_min_eig=eig_hermitian(rho_s)[0][..., 0],
     )
 
 
 def closest_pt_states(rhos, dims: tuple[int, int]) -> ProjectionBatch:
     """Closest partially transposed states for a (k, n, n) stack of states."""
-    return project_pt_spectra(eig_hermitian(partial_transpose(rhos, "B", dims)), dims)
+    return project_pt_spectra(*eig_hermitian(partial_transpose(rhos, dims)), dims)
 
 
 def closest_pt_state(rho: DensityMatrix) -> ProjectionResult:
@@ -215,38 +214,3 @@ def pt_robustness(d):
     d = np.asarray(d, dtype=float)
     neg = -d[..., 0]
     return np.divide(neg, neg + 1.0 / d.shape[-1], out=np.zeros_like(neg), where=~above_noise_floor(d[..., 0]))
-
-
-def _pt_spectrum(rho: DensityMatrix) -> np.ndarray:
-    return eig_hermitian(partial_transpose(rho, "B")).eigenvalues
-
-
-def general_negativity(rho: DensityMatrix) -> float:
-    """Sum of |negative eigenvalues| of rho^PT; any bipartition."""
-    return float(pt_negativity(_pt_spectrum(rho)))
-
-
-def negativity(rho: DensityMatrix) -> float:
-    """Two-qubit negativity N = 2|d_min|, zero for PPT states."""
-    if rho.dims != (2, 2):
-        raise ValueError("negativity is defined for dims (2,2); use general_negativity")
-    return float(pt_negativity(_pt_spectrum(rho), rho.dims))
-
-
-def robustness_to_identity(rho: DensityMatrix) -> float:
-    """Minimal t with (1-t) rho^PT + (t/n) I positive semidefinite; see :func:`pt_robustness`."""
-    return float(pt_robustness(_pt_spectrum(rho)))
-
-
-def two_qubit_distance(rho: DensityMatrix) -> tuple[float, bool]:
-    """Two-qubit distance (2/sqrt(3))|d_min| and whether the formula is exact.
-
-    The closed form holds exactly when the projected spectrum has rank 3;
-    ``formula_applies`` reports that condition.
-    """
-    if rho.dims != (2, 2):
-        raise ValueError("two_qubit_distance requires dims (2,2)")
-    d = _pt_spectrum(rho)
-    if above_noise_floor(d[0]):
-        return 0.0, True
-    return float(2.0 / np.sqrt(3.0) * -d[0]), len(project_simplex_psd(d)[2]) == 3

@@ -49,37 +49,26 @@ def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
     tr = complex(np.trace(m))
     if abs(tr - 1) > DEFAULT_TOL:
         raise ValueError(f"trace != 1, got {tr.real:.6g}")
-    min_eig = eig_hermitian(m).eigenvalues[0]
+    min_eig = eig_hermitian(m)[0][0]
     if min_eig < -DEFAULT_TOL:
         raise ValueError(f"not PSD, min eigenvalue {min_eig:.4g}")
     return DensityMatrix(matrix=m, dims=(da, db))
 
 
-def partial_transpose(rho, subsystem: str = "B", dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite operator.
+def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose factor B of a bipartite operator, or of each matrix in a (..., n, n) stack.
 
-    ``rho`` is a DensityMatrix, or an array of shape (..., n, n) with its
-    bipartition given by ``dims``; stacks are transposed matrix by matrix.
-    Hermiticity, trace, and the Hilbert-Schmidt norm are preserved; positivity
-    is not. Applying the map twice returns the input exactly.
+    ``dims`` = (dA, dB) is the bipartition. Hermiticity, trace, and the
+    Hilbert-Schmidt norm are preserved; positivity is not. Applying the map
+    twice returns the input exactly. For factor A, m^{T_A} = (m^T)^{T_B} is
+    ``partial_transpose(m.swapaxes(-1, -2), dims)``.
     """
-    if isinstance(rho, DensityMatrix):
-        m, dims = rho.matrix, rho.dims
-    elif dims is None:
-        raise ValueError("dims are required for a matrix stack")
-    else:
-        m = np.asarray(rho)
+    m = np.asarray(m)
     da, db = dims
     lead = m.shape[:-2]
-    t = m.reshape(*lead, da, db, da, db)
     k = len(lead)
-    if subsystem == "B":
-        axes = (k, k + 3, k + 2, k + 1)
-    elif subsystem == "A":
-        axes = (k + 2, k + 1, k, k + 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return t.transpose(*range(k), *axes).reshape(*lead, da * db, da * db)
+    t = m.reshape(*lead, da, db, da, db).transpose(*range(k), k, k + 3, k + 2, k + 1)
+    return t.reshape(*lead, da * db, da * db)
 
 
 def _pure(vec, dims) -> DensityMatrix:

@@ -49,4 +49,4 @@ def random_hermitian(rng, n):
 
 @pytest.fixture
 def w_pt(w_state):
-    return partial_transpose(w_state, "B")
+    return partial_transpose(w_state.matrix, w_state.dims)

@@ -135,8 +135,9 @@ class TestProject:
         assert code == 0
         report = json.loads(out_path.read_text())
         d = report["pt_spectrum"]
-        # the PT spectrum over either factor: rho^{T_A} is the transpose of rho^{T_B}
-        assert np.allclose(d, eig_hermitian(partial_transpose(rho, subsystem)).eigenvalues, rtol=0, atol=1e-14)
+        # the PT spectrum over either factor: rho^{T_A} = (rho^T)^{T_B} is the transpose of rho^{T_B}
+        m = rho.matrix if subsystem == "B" else rho.matrix.T
+        assert np.allclose(d, eig_hermitian(partial_transpose(m, rho.dims))[0], rtol=0, atol=1e-14)
         assert report["subsystem"] == "B"
         assert d[0] == report["d_min"]
         assert report["negativity"] == pt_negativity(d, tuple(report["dims"]))
@@ -350,12 +351,15 @@ class TestScan:
             ("missing.json", "cannot read state file 'missing.json'"),
             ("dir.json", "cannot read state file 'dir.json'"),
             ("bad.json", "malformed state document"),
+            ("s41.json", "anchors must share the bipartition"),
         ],
     )
     def test_bad_plane_half_exits_2(self, tmp_path, capsys, monkeypatch, half, message, first):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "dir.json").mkdir()
         (tmp_path / "bad.json").write_text('{"dims": [2, 2], "matrix": 5}')
+        # bell's size, another bipartition
+        (tmp_path / "s41.json").write_text(state_to_json(DensityMatrix(sample_hs_random(4, 3).matrix, (4, 1))))
         plane = f"{half},bell" if first else f"bell,{half}"
         code, _, err = run(capsys, "scan", "--plane", plane, "--resolution", "5", "--out", "g.csv")
         assert code == 2
@@ -370,12 +374,21 @@ class TestScan:
         assert err == "error: need 2 to 1601 steps per axis, got 1602x1602\n"
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("bounds", ["0.9:-0.9", "0.5:0.5", "nan:0.5", "-0.5:inf"])
+    @pytest.mark.parametrize("bounds", ["0.9:-0.9", "0.5:0.5", "nan:0.5", "-0.5:inf", "-1e308:1e308"])
     def test_bad_range_exits_2(self, tmp_path, capsys, bounds):
         out_path = tmp_path / "g.csv"
         code, _, err = run(capsys, "scan", "--plane", "ff3", "--resolution", "41", f"--range={bounds}", "--out", str(out_path))
         assert code == 2
         assert "lo < hi" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("levels", ["nan,inf", "0.1,-inf", "nan"])
+    def test_non_finite_contour_levels_exit_2(self, tmp_path, capsys, levels):
+        out_path = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--plane", "ff3", "--resolution", "5", "--out", str(out_path), "--contours", levels])
+        assert exc.value.code == 2
+        assert f"contour levels must be finite, got {levels!r}" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_unwritable_out_exits_3(self, capsys):

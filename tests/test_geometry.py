@@ -100,8 +100,13 @@ class TestBuildPlane:
             build_plane(rho, rho)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            build_plane(make_named("w_state"), make_named("bell_psi_plus"))
+        bell = make_named("bell_psi_plus")
+        # a (4, 1) state has bell's size but not its PT, so the PPT cells
+        # would depend on which anchor comes first
+        s41 = DensityMatrix(sample_hs_random(4, 3).matrix, (4, 1))
+        for rho1, rho2 in [(make_named("w_state"), bell), (s41, bell), (bell, s41)]:
+            with pytest.raises(ValueError, match="anchors must share the bipartition, got dimensions"):
+                build_plane(rho1, rho2)
 
     def test_first_anchor_at_the_center(self):
         with pytest.raises(ValueError, match="first anchor coincides with the maximally mixed state"):
@@ -172,8 +177,8 @@ class TestScanPlane:
     def test_rejects_single_step(self):
         with pytest.raises(ValueError):
             scan_plane(ff_plane("ff1"), (-0.5, 0.5, 1), (-0.5, 0.5, 2))
-        # empty, reversed and unbounded axis ranges
-        bad = [(0.9, -0.9), (0.5, 0.5), (np.nan, 0.5), (-0.5, np.inf), (-np.inf, 0.5)]
+        # empty, reversed and unbounded axis ranges, and one whose span overflows
+        bad = [(0.9, -0.9), (0.5, 0.5), (np.nan, 0.5), (-0.5, np.inf), (-np.inf, 0.5), (-1e308, 1e308)]
         for lo, hi in bad:
             with pytest.raises(ValueError, match="lo < hi"):
                 scan_plane(ff_plane("ff3"), (lo, hi, 41), (-0.9, 0.9, 41))
@@ -319,7 +324,7 @@ class TestBoundaryContours:
 
         def det_pt(a, b):
             m = state_at(plane, a, b)
-            return np.linalg.det(partial_transpose(DensityMatrix(m, (2, 2)), "B")).real
+            return np.linalg.det(partial_transpose(m, (2, 2))).real
 
         for line in boundary_contours(g, "ppt_boundary"):
             for a, b in line[::5]:
@@ -397,7 +402,7 @@ class TestReferenceFigures:
 
         def neg(a, b):
             m = state_at(plane, a, b)
-            d = np.linalg.eigvalsh(partial_transpose(DensityMatrix(m, (2, 2)), "B"))
+            d = np.linalg.eigvalsh(partial_transpose(m, (2, 2)))
             return 2 * max(0.0, -d[0])
 
         rng = np.random.default_rng(8)

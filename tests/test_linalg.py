@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgeo import eig_hermitian, hs_inner, hs_norm, is_psd
-from entgeo.linalg import as_matrix, asymmetry
+from entgeo import closest_pt_state, eig_hermitian, hs_inner, hs_norm, partial_transpose
+from entgeo.linalg import DEFAULT_TOL, as_matrix, asymmetry
+from entgeo.projection import above_noise_floor
 
 from conftest import random_hermitian
 
@@ -82,19 +83,17 @@ class TestHsNorm:
 
 class TestEigHermitian:
     def test_diagonal(self):
-        dec = eig_hermitian(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(dec.eigenvalues, [1, 2, 3])
-        assert np.allclose(np.abs(dec.unitary), np.eye(3)[:, [1, 2, 0]])
+        w, u = eig_hermitian(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        assert np.allclose(w, [1, 2, 3])
+        assert np.allclose(np.abs(u), np.eye(3)[:, [1, 2, 0]])
 
     def test_w_pt_spectrum(self, w_pt, w_pt_spectrum):
-        dec = eig_hermitian(w_pt)
-        assert np.allclose(dec.eigenvalues, w_pt_spectrum, atol=1e-12)
+        w, _ = eig_hermitian(w_pt)
+        assert np.allclose(w, w_pt_spectrum, atol=1e-12)
 
     def test_bell_pt_spectrum(self, bell):
-        from entgeo import partial_transpose
-
-        dec = eig_hermitian(partial_transpose(bell, "B"))
-        assert np.allclose(dec.eigenvalues, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        w, _ = eig_hermitian(partial_transpose(bell.matrix, bell.dims))
+        assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_non_hermitian_rejected(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -110,38 +109,46 @@ class TestEigHermitian:
     @given(hermitian_strategy())
     @settings(max_examples=200)
     def test_reconstruction_and_unitarity(self, a):
-        dec = eig_hermitian(a)
+        w, u = eig_hermitian(a)
         scale = max(1.0, hs_norm(a))
-        assert hs_norm(a - dec.reconstruct()) <= 1e-10 * scale
+        assert hs_norm(a - (u * w) @ u.conj().T) <= 1e-10 * scale
         n = a.shape[0]
-        assert hs_norm(dec.unitary.conj().T @ dec.unitary - np.eye(n)) <= 1e-10
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert hs_norm(u.conj().T @ u - np.eye(n)) <= 1e-10
+        assert np.all(np.diff(w) >= 0)
 
     @given(hermitian_strategy())
     def test_spectral_norm_consistency(self, a):
-        dec = eig_hermitian(a)
-        assert hs_norm(a) ** 2 == pytest.approx(np.sum(dec.eigenvalues**2), abs=1e-9)
+        w, _ = eig_hermitian(a)
+        assert hs_norm(a) ** 2 == pytest.approx(np.sum(w**2), abs=1e-9)
 
     def test_deterministic_bitwise(self, w_pt):
-        d1 = eig_hermitian(w_pt).eigenvalues
-        d2 = eig_hermitian(w_pt).eigenvalues
+        d1 = eig_hermitian(w_pt)[0]
+        d2 = eig_hermitian(w_pt)[0]
         assert all(x == y for x, y in zip(d1, d2))
 
     def test_trace_consistency(self, w_pt):
-        dec = eig_hermitian(w_pt)
-        assert dec.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12 * 8)
+        w, _ = eig_hermitian(w_pt)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12 * 8)
 
 
 class TestIsPsd:
+    """Positive semidefiniteness read off the least eigenvalue, at the noise floor."""
+
     def test_max_mixed(self):
-        assert is_psd(I4 / 4, 1e-10)
+        assert above_noise_floor(eig_hermitian(I4 / 4)[0][0])
 
     def test_w_pt_is_not_psd(self, w_pt):
-        assert not is_psd(w_pt, 1e-10)
+        assert not above_noise_floor(eig_hermitian(w_pt)[0][0])
 
-    def test_w_closest_state_is_psd(self, w_rho_s):
-        assert is_psd(w_rho_s, 1e-10)
+    def test_w_closest_state_is_psd(self, w_state, w_rho_s):
+        res = closest_pt_state(w_state)
+        assert res.rho_s_is_positive
+        assert np.max(np.abs(res.closest_pt_state - w_rho_s)) <= 1e-10
+        assert above_noise_floor(eig_hermitian(w_rho_s)[0][0])
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            is_psd(np.array([[0, 1], [0, 0]], dtype=complex), 1e-12)
+        # the Hermiticity tolerance is DEFAULT_TOL: just inside it passes, just outside it does not
+        skew = np.array([[0, 1], [0, 0]], dtype=complex)
+        eig_hermitian(np.eye(2) / 2 + 0.7 * DEFAULT_TOL * skew)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(np.eye(2) / 2 + 1.5 * DEFAULT_TOL * skew)

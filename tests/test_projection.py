@@ -9,24 +9,31 @@ from entgeo import (
     closest_pt_state,
     distance_closed_form,
     eig_hermitian,
-    general_negativity,
     hs_norm,
     make_named,
     max_mixed,
-    negativity,
     partial_transpose,
     project_simplex_psd,
-    robustness_to_identity,
+    pt_negativity,
+    pt_robustness,
     sample_hs_random,
-    two_qubit_distance,
     validate_state,
 )
-from entgeo.projection import pt_negativity, pt_robustness
 from entgeo.states import DensityMatrix
 
 import reference_projection as ref
 
 SQRT2 = np.sqrt(2.0)
+
+
+def pt_spectrum(rho):
+    """Ascending spectrum of rho^PT, as the projection computes it."""
+    return closest_pt_state(rho).pt_spectrum
+
+
+def support(kept):
+    """Support indices of a boolean support mask."""
+    return np.flatnonzero(kept).tolist()
 
 
 def simplex_oracle(d, target=1.0):
@@ -63,19 +70,21 @@ class TestProjectSimplexPsd:
         expected[6] = 2 * SQRT2 / 9
         expected[7] = 2 / 3 - SQRT2 / 9
         assert np.allclose(e2, expected, atol=1e-12)
-        assert kept == (5, 6, 7)
+        # one spectrum in, the stack's shapes out: a 0-d shift and a support mask
+        assert np.shape(lam) == () and kept.dtype == bool and kept.shape == (8,)
+        assert support(kept) == [5, 6, 7]
 
     def test_already_on_simplex(self):
         e2, lam, kept = project_simplex_psd([1.0, 0.0, 0.0, 0.0])
         assert np.allclose(e2, [1, 0, 0, 0])
         assert lam == 0.0
-        assert kept == (0,)
+        assert support(kept) == [0]
 
     def test_derived_example(self):
         e2, lam, kept = project_simplex_psd([1.1, 0.04, -0.14])
         assert np.allclose(e2, [1.0, 0.0, 0.0], atol=1e-12)
         assert lam == pytest.approx(-0.1, abs=1e-12)
-        assert kept == (0,)
+        assert support(kept) == [0]
 
     def test_empty_vector(self):
         with pytest.raises(ValueError, match="empty"):
@@ -97,7 +106,7 @@ class TestProjectSimplexPsd:
             d += (1.0 - d.sum()) / 6
             e2, lam, kept = project_simplex_psd(d)
             assert lam <= 1e-15
-            assert all(d[i] >= 0 for i in kept)
+            assert np.all(d[kept] >= 0)
             assert e2.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(e2 >= 0)
 
@@ -105,14 +114,14 @@ class TestProjectSimplexPsd:
     @settings(max_examples=300)
     def test_matches_brute_force_oracle(self, d):
         e2, lam, kept = project_simplex_psd(d)
-        residual, x, lam_o, support = simplex_oracle(d)
+        residual, x, lam_o, oracle_support = simplex_oracle(d)
         assert np.allclose(e2, x, atol=1e-10)
         assert lam == pytest.approx(lam_o, abs=1e-10)
         # at a tie (d_i + lam == 0 up to roundoff) the support is ambiguous in
         # floating point while the projection value is not; compare supports
         # only away from ties
         if min(abs(di + lam) for di in d) > 1e-9:
-            assert set(kept) == set(support)
+            assert set(support(kept)) == set(oracle_support)
 
 
 class TestClosestPtState:
@@ -143,7 +152,7 @@ class TestClosestPtState:
         hit = 0
         for seed in range(300):
             rho = sample_hs_random(4, seed)
-            d_min = np.linalg.eigvalsh(partial_transpose(rho, "B"))[0]
+            d_min = np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims))[0]
             if d_min < 0:
                 continue
             hit += 1
@@ -160,8 +169,8 @@ class TestClosestPtState:
             assert np.trace(res.closest_pt_state).real == pytest.approx(1.0, abs=1e-10)
             assert hs_norm(res.closest_pt_state - res.closest_pt_state.conj().T) <= 1e-10
             # PT isometry: distance computed in PT space equals state space
-            pt = partial_transpose(rho, "B")
-            sigma = partial_transpose(DensityMatrix(res.closest_pt_state, rho.dims), "B")
+            pt = partial_transpose(rho.matrix, rho.dims)
+            sigma = partial_transpose(res.closest_pt_state, rho.dims)
             assert abs(res.distance_exact - hs_norm(pt - sigma)) <= 1e-12
 
     def test_rank2_cases_have_indefinite_rho_s(self):
@@ -215,37 +224,45 @@ class TestDistanceClosedForm:
 
     def test_empty_kept(self):
         with pytest.raises(ValueError, match="empty"):
-            distance_closed_form([1.0, -0.5], ())
+            distance_closed_form([1.0, -0.5], [False, False])
+
+    def test_support_indices_rejected(self):
+        # an index list as long as the spectrum has a mask's shape; it must not pass for one
+        d = [0.9, 0.2, -0.1]
+        with pytest.raises(ValueError, match="boolean support mask"):
+            distance_closed_form(d, [0, 1, 2])
+        assert distance_closed_form(d, [True, True, False]) == pytest.approx(np.sqrt(0.01 / 2 + 0.01), abs=1e-12)
 
 
 class TestNegativity:
+    """The two-qubit negativity 2|d_min|."""
+
     def test_bell(self, bell):
-        assert negativity(bell) == pytest.approx(1.0, abs=1e-12)
+        assert pt_negativity(pt_spectrum(bell), bell.dims) == pytest.approx(1.0, abs=1e-12)
 
     def test_max_mixed(self):
-        assert negativity(max_mixed(4)) == 0.0
+        assert pt_negativity(pt_spectrum(max_mixed(4)), (2, 2)) == 0.0
 
     def test_werner_boundary(self, bell):
         t = 2 / 3
         mix = validate_state((1 - t) * bell.matrix + t * np.eye(4) / 4, (2, 2))
-        assert negativity(mix) == pytest.approx(0.0, abs=1e-10)
+        assert pt_negativity(pt_spectrum(mix), mix.dims) == pytest.approx(0.0, abs=1e-10)
         barely = validate_state(0.4 * bell.matrix + 0.6 * np.eye(4) / 4, (2, 2))
-        assert negativity(barely) == pytest.approx(2 * (0.4 * 0.5 - 0.15), abs=1e-12)
-
-    def test_wrong_dims(self, w_state):
-        with pytest.raises(ValueError, match="general_negativity"):
-            negativity(w_state)
+        assert pt_negativity(pt_spectrum(barely), barely.dims) == pytest.approx(2 * (0.4 * 0.5 - 0.15), abs=1e-12)
 
 
 class TestGeneralNegativity:
+    """Vidal and Werner's sum of |negative PT eigenvalues|, for any bipartition."""
+
     def test_w_state(self, w_state):
-        assert general_negativity(w_state) == pytest.approx(SQRT2 / 3, abs=1e-12)
+        assert pt_negativity(pt_spectrum(w_state), w_state.dims) == pytest.approx(SQRT2 / 3, abs=1e-12)
 
     def test_max_mixed_8(self):
-        assert general_negativity(max_mixed(8)) == 0.0
+        assert pt_negativity(pt_spectrum(max_mixed(8)), (2, 4)) == 0.0
 
     def test_bell_matches_half_negativity(self, bell):
-        assert general_negativity(bell) == pytest.approx(negativity(bell) / 2, abs=1e-12)
+        d = pt_spectrum(bell)
+        assert pt_negativity(d) == pytest.approx(pt_negativity(d, bell.dims) / 2, abs=1e-12)
 
 
 class TestSpectralMeasures:
@@ -253,7 +270,7 @@ class TestSpectralMeasures:
     def test_stack_matches_per_state_formulas(self, dims):
         n = dims[0] * dims[1]
         hs = np.stack(
-            [eig_hermitian(partial_transpose(sample_hs_random(n, seed, dims=dims), "B")).eigenvalues for seed in range(200)]
+            [eig_hermitian(partial_transpose(sample_hs_random(n, seed, dims=dims).matrix, dims))[0] for seed in range(200)]
         )
         # trace-1 spectra with large negative parts, where the projection also
         # drops positive eigenvalues
@@ -275,7 +292,7 @@ class TestSpectralMeasures:
             kept = ref.project_simplex_psd(row)[2]
             dropped_positive += any(row[j] > 0 for j in set(range(n)) - set(kept))
             assert distance[i] == ref.distance_closed_form(row, kept)
-            assert distance_closed_form(row, kept) == distance[i]
+            assert distance_closed_form(row, np.isin(np.arange(n), kept)) == distance[i]
         assert dropped_positive > 0
 
     def test_two_qubit_ppt_floor(self):
@@ -289,7 +306,7 @@ class TestSpectralMeasures:
 
 
 def robustness_bisection_oracle(rho, tol=1e-12):
-    pt = partial_transpose(rho, "B")
+    pt = partial_transpose(rho.matrix, rho.dims)
     n = rho.dim
     eye = np.eye(n)
 
@@ -310,16 +327,15 @@ def robustness_bisection_oracle(rho, tol=1e-12):
 
 class TestRobustness:
     def test_bell(self, bell):
-        assert robustness_to_identity(bell) == pytest.approx(2 / 3, abs=1e-12)
-        assert robustness_to_identity(bell) == pytest.approx(
-            robustness_bisection_oracle(bell), abs=1e-9
-        )
+        t = pt_robustness(pt_spectrum(bell))
+        assert t == pytest.approx(2 / 3, abs=1e-12)
+        assert t == pytest.approx(robustness_bisection_oracle(bell), abs=1e-9)
 
     def test_max_mixed(self):
-        assert robustness_to_identity(max_mixed(4)) == 0.0
+        assert pt_robustness(pt_spectrum(max_mixed(4))) == 0.0
 
     def test_w_state(self, w_state):
-        t = robustness_to_identity(w_state)
+        t = pt_robustness(pt_spectrum(w_state))
         assert t == pytest.approx((SQRT2 / 3) / (SQRT2 / 3 + 1 / 8), abs=1e-12)
         assert t == pytest.approx(0.79041, abs=1e-5)
         assert t == pytest.approx(robustness_bisection_oracle(w_state), abs=1e-9)
@@ -327,8 +343,8 @@ class TestRobustness:
     def test_certificate_and_monotonicity(self):
         for seed in range(50):
             rho = sample_hs_random(4, seed)
-            t = robustness_to_identity(rho)
-            pt = partial_transpose(rho, "B")
+            t = pt_robustness(pt_spectrum(rho))
+            pt = partial_transpose(rho.matrix, rho.dims)
             mix = lambda s: (1 - s) * pt + s / 4 * np.eye(4)
             if t == 0.0:
                 assert np.linalg.eigvalsh(pt)[0] >= -1e-10
@@ -339,31 +355,47 @@ class TestRobustness:
             assert np.all(np.diff(mins) > 0)
 
 
+def two_qubit_formula(d_min):
+    """The paper's two-qubit distance (2/sqrt(3))|d_min|, exact when the support has rank 3."""
+    return 2.0 / np.sqrt(3.0) * abs(d_min)
+
+
 class TestTwoQubitDistance:
     def test_bell(self, bell):
-        value, applies = two_qubit_distance(bell)
-        assert applies
-        assert value == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        res = closest_pt_state(bell)
+        assert res.rank == 3
+        assert two_qubit_formula(res.d_min) == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        assert res.distance_exact == pytest.approx(two_qubit_formula(res.d_min), abs=1e-12)
+        assert res.distance_closed_form == pytest.approx(two_qubit_formula(res.d_min), abs=1e-12)
 
     def test_ppt(self):
-        value, _ = two_qubit_distance(max_mixed(4))
-        assert value == 0.0
+        res = closest_pt_state(max_mixed(4))
+        assert res.distance_closed_form == 0.0
+        assert res.distance_exact <= 1e-15
 
-    def test_wrong_dims(self, w_state):
-        with pytest.raises(ValueError):
-            two_qubit_distance(w_state)
+    def test_wrong_dims(self):
+        # the formula is the two-qubit case n = 4 of sqrt(n/(n-1))|d_min|, the
+        # distance of a spectrum with one negative eigenvalue and rank n - 1;
+        # on 2x3 it overshoots by sqrt((4/3) / (6/5))
+        checked = 0
+        for seed in range(200):
+            res = closest_pt_state(sample_hs_random(6, seed, dims=(2, 3)))
+            if res.rank != 5 or res.pt_spectrum[1] < 0:
+                continue
+            checked += 1
+            assert res.distance_exact == pytest.approx(np.sqrt(6 / 5) * -res.d_min, abs=1e-12)
+            assert two_qubit_formula(res.d_min) == pytest.approx(np.sqrt(10 / 9) * res.distance_exact, rel=1e-12)
+        assert checked > 10
 
     def test_formula_matches_exact_whenever_rank3(self):
         checked = 0
         for seed in range(2000):
-            rho = sample_hs_random(4, seed)
-            value, applies = two_qubit_distance(rho)
-            if value == 0.0:
+            res = closest_pt_state(sample_hs_random(4, seed))
+            if res.d_min >= -1e-10 or res.rank != 3:
                 continue
-            if applies:
-                checked += 1
-                res = closest_pt_state(rho)
-                assert abs(value - res.distance_exact) <= 1e-10
+            checked += 1
+            assert abs(two_qubit_formula(res.d_min) - res.distance_exact) <= 1e-10
+            assert abs(two_qubit_formula(res.d_min) - res.distance_closed_form) <= 1e-10
         assert checked > 1000
 
 
@@ -372,8 +404,8 @@ class TestInterpolationLaw:
         # eigenvalues of ((1-u) I/n + u rho)^PT are (1-u)/n + u d_i, sorted
         for seed in range(50):
             rho = sample_hs_random(4, seed)
-            d = np.linalg.eigvalsh(partial_transpose(rho, "B"))
+            d = np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims))
             for u in (0.0, 0.25, 0.5, 0.75, 1.0):
                 mixed = validate_state((1 - u) * np.eye(4) / 4 + u * rho.matrix, (2, 2))
-                dm = np.linalg.eigvalsh(partial_transpose(mixed, "B"))
+                dm = np.linalg.eigvalsh(partial_transpose(mixed.matrix, mixed.dims))
                 assert np.allclose(dm, (1 - u) / 4 + u * d, atol=1e-10)

@@ -115,16 +115,12 @@ def test_sampler_bitwise(n):
 def test_stacked_partial_transpose(dims, subsystem):
     n = dims[0] * dims[1]
     stack = sample_hs_random_stack(n, range(20)).reshape(4, 5, n, n)
-    got = partial_transpose(stack, subsystem, dims)
+    # the transpose of the input transposes A: m^{T_A} = (m^T)^{T_B}
+    got = partial_transpose(stack if subsystem == "B" else stack.swapaxes(-1, -2), dims)
     assert got.shape == stack.shape
     for idx in np.ndindex(4, 5):
         rho = ref.sample_hs_random(n, 5 * idx[0] + idx[1], dims=dims)
         assert np.array_equal(got[idx], ref.partial_transpose(rho, subsystem))
-
-
-def test_stack_partial_transpose_needs_dims():
-    with pytest.raises(ValueError, match="dims"):
-        partial_transpose(np.eye(4)[None], "B")
 
 
 def test_stack_with_one_non_hermitian_member_raises():
@@ -138,5 +134,5 @@ def test_stack_with_one_non_hermitian_member_raises():
         eig_hermitian(stack)
     # the rest of the stack decomposes exactly as one matrix at a time
     rest = np.delete(stack, [2, 5], axis=0)
-    for row, m in zip(eig_hermitian(rest).eigenvalues, rest):
+    for row, m in zip(eig_hermitian(rest)[0], rest):
         assert np.array_equal(row, ref.eig_hermitian(m)[0])
