@@ -18,7 +18,6 @@ from .states import (
     validate_state,
 )
 from .projection import (
-    ProjectionResult,
     closest_pt_state,
     closest_pt_states,
     distance_closed_form,
@@ -50,7 +49,6 @@ __all__ = [
     "state_from_json",
     "state_to_json",
     "validate_state",
-    "ProjectionResult",
     "closest_pt_state",
     "closest_pt_states",
     "distance_closed_form",

@@ -87,26 +87,31 @@ def _write_text(path: str, text: str) -> None:
 def cmd_project(args) -> int:
     rho = _resolve_state(args.state)
     res = projection.closest_pt_state(rho)
-    d = res.pt_spectrum
+    d = res.d[0]
     neg = float(projection.pt_negativity(d, rho.dims))
     robustness = float(projection.pt_robustness(d))
-    spectrum, e_squared = d.tolist(), res.e_squared.tolist()
+    spectrum, e_squared = d.tolist(), np.sort(res.e2[0])[::-1].tolist()
+    lam = float(res.lam[0])
+    kept_indices = np.flatnonzero(res.kept[0]).tolist()
+    distance_exact = float(res.distance_exact[0])
+    distance_closed_form = float(projection.distance_closed_form(res.d, res.kept)[0])
+    is_positive = bool(res.rho_s_is_positive[0])
     # positive only by grace of the tolerance: min eigenvalue in [-1e-9, 0)
-    borderline = res.rho_s_is_positive and res.rho_s_min_eig < 0
+    borderline = is_positive and bool(res.rho_s_min_eig[0] < 0)
 
     print(f"state: {args.state}  dims {rho.dims[0]}x{rho.dims[1]}  PT over B")
     print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in spectrum))
     print("E^2 (descending):        " + "  ".join(f"{x: .10f}" for x in e_squared))
-    print(f"lambda:               {res.lam:.12f}")
-    print(f"kept indices:         {list(res.kept_indices)} (rank {res.rank})")
-    print(f"distance (exact):     {res.distance_exact:.16f}")
-    print(f"distance (spectral):  {res.distance_closed_form:.16f}")
+    print(f"lambda:               {lam:.12f}")
+    print(f"kept indices:         {kept_indices} (rank {len(kept_indices)})")
+    print(f"distance (exact):     {distance_exact:.16f}")
+    print(f"distance (spectral):  {distance_closed_form:.16f}")
     print(f"negativity:           {neg:.16f}")
     print(f"robustness t:         {robustness:.16f}")
-    positive = "yes" + (" (borderline)" if borderline else "") if res.rho_s_is_positive else "no (distance is a lower bound to the PPT set)"
+    positive = "yes" + (" (borderline)" if borderline else "") if is_positive else "no (distance is a lower bound to the PPT set)"
     print(f"rho_s PSD:            {positive}")
     print("closest PT state rho_s:")
-    print(_format_matrix(res.closest_pt_state))
+    print(_format_matrix(res.rho_s[0]))
 
     if args.json:
         report = {
@@ -115,16 +120,16 @@ def cmd_project(args) -> int:
             "subsystem": "B",
             "pt_spectrum": spectrum,
             "e_squared": e_squared,
-            "lambda": res.lam,
-            "kept_indices": list(res.kept_indices),
-            "distance_exact": res.distance_exact,
-            "distance_closed_form": res.distance_closed_form,
+            "lambda": lam,
+            "kept_indices": kept_indices,
+            "distance_exact": distance_exact,
+            "distance_closed_form": distance_closed_form,
             "negativity": neg,
             "robustness": robustness,
-            "rho_s_is_positive": res.rho_s_is_positive,
+            "rho_s_is_positive": is_positive,
             "borderline": borderline,
-            "d_min": res.d_min,
-            "rho_s": states.state_to_dict(states.DensityMatrix(res.closest_pt_state, rho.dims)),
+            "d_min": spectrum[0],
+            "rho_s": states.state_to_dict(states.DensityMatrix(res.rho_s[0], rho.dims)),
         }
         _write_text(args.json, _report_json(report))
     return EXIT_OK
@@ -157,7 +162,7 @@ def cmd_stats(args) -> int:
         d, u = linalg.eig_hermitian(states.partial_transpose(rhos, (da, db)))
         # only the NPT states go on to the projection
         is_npt = ~projection.above_noise_floor(d[:, 0])
-        res = projection.project_pt_spectra(d[is_npt], u[is_npt], (da, db))
+        res = projection.project_pt_spectra(rhos[is_npt], d[is_npt], u[is_npt], (da, db))
         # one at a time in seed order, so the sum rounds as a per-state loop's would
         for value in projection.pt_negativity(res.d, (da, db)).tolist():
             neg_sum += value

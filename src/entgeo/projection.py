@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian, hs_norm
+from .linalg import eig_hermitian
 from .states import DensityMatrix, partial_transpose
 
 PPT_EIG_TOL = 1e-10
@@ -36,31 +36,6 @@ STATE_BODY_SLACK = 1e-6
 def above_noise_floor(min_eig):
     """True where a least eigenvalue counts as PSD: >= -PPT_EIG_TOL, elementwise."""
     return np.asarray(min_eig) >= -PPT_EIG_TOL
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Closest partially transposed state plus all diagnostics.
-
-    ``closest_pt_state`` is trace-1 Hermitian but not necessarily PSD; when
-    ``rho_s_is_positive`` it is the closest PPT state outright, otherwise
-    ``distance_exact`` is a lower bound on the distance to the PPT set.
-    """
-
-    closest_pt_state: np.ndarray
-    e_squared: np.ndarray        # simplex-projected PT spectrum, descending
-    lam: float                   # Lagrange shift
-    kept_indices: tuple[int, ...]  # support w.r.t. the ascending PT spectrum
-    rank: int                    # size of the support
-    distance_exact: float
-    distance_closed_form: float
-    pt_spectrum: np.ndarray      # eigenvalues of rho^PT, ascending
-    rho_s_min_eig: float         # least eigenvalue of closest_pt_state
-    rho_s_is_positive: bool
-
-    @property
-    def d_min(self) -> float:
-        return float(self.pt_spectrum[0])
 
 
 def project_simplex_psd(d):
@@ -125,11 +100,15 @@ def distance_closed_form(d, kept):
 class ProjectionBatch:
     """Per-state projection arrays for a stack of states, one row per state.
 
-    ``d`` is the ascending PT spectrum, ``e2`` the simplex-projected spectrum
-    in the same eigenbasis order, ``kept`` its support mask, and ``rho_s`` the
-    closest partially transposed states with their min eigenvalues.
+    ``rho`` is the input stack, ``d`` the ascending PT spectrum, ``e2`` the
+    simplex-projected spectrum in the same eigenbasis order, ``kept`` its
+    support mask, and ``rho_s`` the closest partially transposed states with
+    their min eigenvalues. Each rho_s is trace-1 Hermitian but not necessarily
+    PSD; where ``rho_s_is_positive`` it is the closest PPT state outright,
+    elsewhere ``distance_exact`` is a lower bound on the distance to the PPT set.
     """
 
+    rho: np.ndarray
     d: np.ndarray
     e2: np.ndarray
     lam: np.ndarray
@@ -145,9 +124,18 @@ class ProjectionBatch:
     def rho_s_is_positive(self) -> np.ndarray:
         return self.rho_s_min_eig >= -PSD_REPORT_TOL
 
+    @property
+    def distance_exact(self) -> np.ndarray:
+        """||rho - rho_s||_2 per row, computed on access.
 
-def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> ProjectionBatch:
-    """Steps 2 and 3 of the projection for a stack of decomposed partial transposes rho^PT = U D U^dagger.
+        One norm per matrix: a norm over the stacked axes sums in another
+        order and differs from it in the last bit.
+        """
+        return np.array([np.linalg.norm(m) for m in self.rho - self.rho_s])
+
+
+def project_pt_spectra(rho: np.ndarray, d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> ProjectionBatch:
+    """Steps 2 and 3 of the projection for a stack of states rho with decomposed partial transposes rho^PT = U D U^dagger.
 
     Simplex-project each PT spectrum d, rebuild sigma* = U E^2 U^dagger from
     the eigenvectors u, map it back through the PT and take the min eigenvalue
@@ -156,6 +144,7 @@ def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> P
     e2, lam, kept = project_simplex_psd(d)
     rho_s = partial_transpose((u * e2[..., None, :]) @ u.conj().swapaxes(-1, -2), dims)
     return ProjectionBatch(
+        rho=rho,
         d=d,
         e2=e2,
         lam=lam,
@@ -167,29 +156,17 @@ def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> P
 
 def closest_pt_states(rhos, dims: tuple[int, int]) -> ProjectionBatch:
     """Closest partially transposed states for a (k, n, n) stack of states."""
-    return project_pt_spectra(*eig_hermitian(partial_transpose(rhos, dims)), dims)
+    return project_pt_spectra(rhos, *eig_hermitian(partial_transpose(rhos, dims)), dims)
 
 
-def closest_pt_state(rho: DensityMatrix) -> ProjectionResult:
+def closest_pt_state(rho: DensityMatrix) -> ProjectionBatch:
     """Project rho^PT onto the trace-1 PSD cone and map back through the PT.
 
     Steps: eigendecompose rho^PT = U D U^dagger, simplex-project D into E^2,
     reconstruct sigma* = U E^2 U^dagger, return rho_s = (sigma*)^PT. The
-    one-state case of :func:`closest_pt_states`.
+    one-state case of :func:`closest_pt_states`: a batch of one row.
     """
-    res = closest_pt_states(rho.matrix[None], rho.dims)
-    return ProjectionResult(
-        closest_pt_state=res.rho_s[0],
-        e_squared=np.sort(res.e2[0])[::-1],
-        lam=float(res.lam[0]),
-        kept_indices=tuple(np.flatnonzero(res.kept[0]).tolist()),
-        rank=int(res.rank[0]),
-        distance_exact=hs_norm(rho.matrix - res.rho_s[0]),
-        distance_closed_form=float(distance_closed_form(res.d[0], res.kept[0])),
-        pt_spectrum=res.d[0],
-        rho_s_min_eig=float(res.rho_s_min_eig[0]),
-        rho_s_is_positive=bool(res.rho_s_is_positive[0]),
-    )
+    return closest_pt_states(rho.matrix[None], rho.dims)
 
 
 def pt_negativity(d, dims=None):

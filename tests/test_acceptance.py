@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion report.
 """
 
 import time
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from entgeo import (
     build_plane,
     closest_pt_state,
     closest_pt_states,
-    hs_norm,
     make_named,
     partial_transpose,
     project_simplex_psd,
@@ -42,24 +40,14 @@ def report(criterion, ok, detail=""):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-SweepResult = namedtuple("SweepResult", "d_min rank distance_exact rho_s_is_positive")
-
-
 @pytest.fixture(scope="module")
 def hs_sweep():
-    """Projection results for 10^4 seed-pinned HS-random two-qubit states, one per seed."""
-    rhos = sample_hs_random_stack(4, range(N_SAMPLES))
-    res = closest_pt_states(rhos, (2, 2))
-    return [
-        SweepResult(float(d[0]), int(rank), hs_norm(rho - rho_s), bool(positive))
-        for d, rank, rho, rho_s, positive in zip(
-            res.d, res.rank, rhos, res.rho_s, res.rho_s_is_positive
-        )
-    ]
+    """Projection of 10^4 seed-pinned HS-random two-qubit states, one row per seed."""
+    return closest_pt_states(sample_hs_random_stack(4, range(N_SAMPLES)), (2, 2))
 
 
-def npt_results(sweep):
-    return [r for r in sweep if r.d_min < -1e-10]
+def npt_rows(sweep):
+    return sweep.d[:, 0] < -1e-10
 
 
 def test_criterion_1_w_state_golden(w_rho_s, w_pt_spectrum):
@@ -72,43 +60,44 @@ def test_criterion_1_w_state_golden(w_rho_s, w_pt_spectrum):
     elapsed = time.perf_counter() - start
     ok = (
         np.allclose(np.sort(d), w_pt_spectrum, atol=1e-10)
-        and np.allclose(res.e_squared, sorted(e2_expected, reverse=True), atol=1e-10)
-        and np.max(np.abs(res.closest_pt_state - w_rho_s)) <= 1e-10
-        and abs(res.distance_exact - 0.5443310539518174) <= 1e-12
+        and np.allclose(np.sort(res.e2[0])[::-1], sorted(e2_expected, reverse=True), atol=1e-10)
+        and np.max(np.abs(res.rho_s[0] - w_rho_s)) <= 1e-10
+        and abs(res.distance_exact[0] - 0.5443310539518174) <= 1e-12
         and elapsed < 1.0
     )
-    report(1, ok, f"distance {res.distance_exact:.16f}, runtime {elapsed * 1e3:.1f} ms")
+    report(1, ok, f"distance {res.distance_exact[0]:.16f}, runtime {elapsed * 1e3:.1f} ms")
 
 
 def test_criterion_2_bell_golden(bell_rho_s):
     bell = make_named("bell_psi_plus")
     res = closest_pt_state(bell)
-    negativity = pt_negativity(res.pt_spectrum, bell.dims)
-    robustness = pt_robustness(res.pt_spectrum)
+    distance = res.distance_exact[0]
+    negativity = pt_negativity(res.d[0], bell.dims)
+    robustness = pt_robustness(res.d[0])
     ok = (
-        np.max(np.abs(res.closest_pt_state - bell_rho_s)) <= 1e-10
-        and abs(res.distance_exact - 1 / SQRT3) <= 1e-12
+        np.max(np.abs(res.rho_s[0] - bell_rho_s)) <= 1e-10
+        and abs(distance - 1 / SQRT3) <= 1e-12
         and abs(negativity - 1.0) <= 1e-12
         and abs(robustness - 2 / 3) <= 1e-12
     )
     report(
         2,
         ok,
-        f"distance {res.distance_exact:.12f}, negativity {negativity:.3f}, robustness {robustness:.12f}",
+        f"distance {distance:.12f}, negativity {negativity:.3f}, robustness {robustness:.12f}",
     )
 
 
 def test_criterion_3_two_qubit_formula(hs_sweep):
     start = time.perf_counter()
-    npt = npt_results(hs_sweep)
-    rank3 = [r for r in npt if r.rank == 3]
-    worst = max(abs(r.distance_exact - 2 / SQRT3 * -r.d_min) for r in rank3)
+    npt = npt_rows(hs_sweep)
+    rank3 = npt & (hs_sweep.rank == 3)
+    worst = np.max(np.abs(hs_sweep.distance_exact[rank3] - 2 / SQRT3 * -hs_sweep.d[rank3, 0]))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 30.0
     report(
         3,
         ok,
-        f"rank-3 frequency {len(rank3) / len(npt):.4f} of {len(npt)} NPT states, "
+        f"rank-3 frequency {rank3.sum() / npt.sum():.4f} of {npt.sum()} NPT states, "
         f"max |distance - (2/sqrt3)|d_min|| = {worst:.2e}",
     )
 
@@ -120,19 +109,19 @@ def test_criterion_3_two_qubit_formula(hs_sweep):
     "agreement with the historical ~97% figure",
 )
 def test_criterion_4_positivity_statistic(hs_sweep):
-    npt = npt_results(hs_sweep)
-    frac = sum(r.rho_s_is_positive for r in npt) / len(npt)
+    npt = npt_rows(hs_sweep)
+    frac = hs_sweep.rho_s_is_positive[npt].sum() / npt.sum()
     report(4, 0.95 <= frac <= 0.99, f"measured positive-rho_s fraction {frac:.4f}")
 
 
 def test_criterion_4_measured_value_is_reported(hs_sweep, capsys):
     # the attainable half of criterion 4: the statistic is deterministic,
     # seed-pinned, and reported as measured
-    npt = npt_results(hs_sweep)
-    frac = sum(r.rho_s_is_positive for r in npt) / len(npt)
+    npt = npt_rows(hs_sweep)
+    frac = hs_sweep.rho_s_is_positive[npt].sum() / npt.sum()
     again = [closest_pt_state(sample_hs_random(4, seed)) for seed in range(100)]
-    frac_again = [r.rho_s_is_positive for r in again]
-    assert frac_again == [r.rho_s_is_positive for r in hs_sweep[:100]]
+    frac_again = [bool(r.rho_s_is_positive[0]) for r in again]
+    assert frac_again == hs_sweep.rho_s_is_positive[:100].tolist()
     print(f"\nACCEPTANCE 4 (measured): positive-rho_s fraction {frac:.4f}")
 
 
@@ -162,9 +151,9 @@ def test_criterion_6_property_suites(hs_sweep):
             failures.append(f"norm preservation seed {seed}")
 
     # projection idempotence on PPT states
-    for r, seed in zip(hs_sweep[:2000], range(2000)):
-        if r.d_min >= -1e-10 and r.distance_exact > 1e-10:
-            failures.append(f"idempotence seed {seed}")
+    moved = hs_sweep.distance_exact[:2000] > 1e-10
+    for seed in np.flatnonzero((hs_sweep.d[:2000, 0] >= -1e-10) & moved):
+        failures.append(f"idempotence seed {seed}")
 
     # linear-interpolation law for mixtures with I/n
     for seed in range(50):
@@ -179,7 +168,7 @@ def test_criterion_6_property_suites(hs_sweep):
     # robustness certificate
     for seed in range(100):
         rho = sample_hs_random(4, seed)
-        t = pt_robustness(closest_pt_state(rho).pt_spectrum)
+        t = pt_robustness(closest_pt_state(rho).d[0])
         if t == 0.0:
             continue
         pt = partial_transpose(rho.matrix, rho.dims)

@@ -20,6 +20,8 @@ from entgeo import cli
 from entgeo.cli import main
 from entgeo.projection import pt_negativity, pt_robustness
 
+import reference_projection as ref
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -153,9 +155,31 @@ class TestProject:
         out_path = tmp_path / "report.json"
         code, _, _ = run(capsys, "project", "--state", state, "--json", str(out_path))
         assert code == 0
-        rho_s = closest_pt_state(rho).closest_pt_state
+        rho_s = closest_pt_state(rho).rho_s[0]
         want = json.loads(state_to_json(DensityMatrix(rho_s, rho.dims)))
         assert json.loads(out_path.read_text())["rho_s"] == want
+
+    @pytest.mark.parametrize("state", ["w", "bell", "hs-2x2", "hs-3x3", "hs-3x4"])
+    def test_report_fields_are_the_reference_bitwise(self, tmp_path, capsys, state):
+        if state.startswith("hs-"):
+            da, db = map(int, state[3:].split("x"))
+            path = tmp_path / "hs.json"
+            path.write_text(state_to_json(sample_hs_random(da * db, 0, dims=(da, db))))
+            rho, state = state_from_json(path.read_text()), str(path)
+        else:
+            rho = make_named({"w": "w_state", "bell": "bell_psi_plus"}[state])
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "project", "--state", state, "--json", str(out_path))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        want = ref.closest_pt_state(rho)
+        assert report["e_squared"] == want.e_squared.tolist()
+        assert report["lambda"] == want.lam
+        assert report["kept_indices"] == list(want.kept_indices)
+        assert report["distance_exact"] == want.distance_exact
+        assert report["distance_closed_form"] == want.distance_closed_form
+        assert report["d_min"] == want.d_min
+        assert report["rho_s_is_positive"] == want.rho_s_is_positive
 
     def test_ppt_negativity_is_positive_zero(self, tmp_path, capsys):
         # dims 2x4 take the sum convention: a PPT state has no negative PT

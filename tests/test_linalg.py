@@ -142,8 +142,8 @@ class TestIsPsd:
 
     def test_w_closest_state_is_psd(self, w_state, w_rho_s):
         res = closest_pt_state(w_state)
-        assert res.rho_s_is_positive
-        assert np.max(np.abs(res.closest_pt_state - w_rho_s)) <= 1e-10
+        assert res.rho_s_is_positive[0]
+        assert np.max(np.abs(res.rho_s[0] - w_rho_s)) <= 1e-10
         assert above_noise_floor(eig_hermitian(w_rho_s)[0][0])
 
     def test_non_hermitian_rejected(self):

@@ -28,7 +28,7 @@ SQRT2 = np.sqrt(2.0)
 
 def pt_spectrum(rho):
     """Ascending spectrum of rho^PT, as the projection computes it."""
-    return closest_pt_state(rho).pt_spectrum
+    return closest_pt_state(rho).d[0]
 
 
 def support(kept):
@@ -127,26 +127,27 @@ class TestProjectSimplexPsd:
 class TestClosestPtState:
     def test_w_state_golden(self, w_state, w_rho_s):
         res = closest_pt_state(w_state)
-        assert np.max(np.abs(res.closest_pt_state - w_rho_s)) <= 1e-10
-        assert res.distance_exact == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
-        assert res.distance_closed_form == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
-        assert res.rho_s_is_positive
-        assert res.d_min == pytest.approx(-SQRT2 / 3, abs=1e-12)
+        assert np.max(np.abs(res.rho_s[0] - w_rho_s)) <= 1e-10
+        assert res.distance_exact[0] == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
+        assert distance_closed_form(res.d, res.kept)[0] == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
+        assert res.rho_s_is_positive[0]
+        assert res.d[0, 0] == pytest.approx(-SQRT2 / 3, abs=1e-12)
         expected_e2 = sorted([2 / 3 - SQRT2 / 9, 2 * SQRT2 / 9, 1 / 3 - SQRT2 / 9], reverse=True)
-        assert np.allclose(res.e_squared[:3], expected_e2, atol=1e-10)
-        assert np.allclose(res.e_squared[3:], 0.0)
+        e_squared = np.sort(res.e2[0])[::-1]
+        assert np.allclose(e_squared[:3], expected_e2, atol=1e-10)
+        assert np.allclose(e_squared[3:], 0.0)
 
     def test_bell_golden(self, bell, bell_rho_s):
         res = closest_pt_state(bell)
-        assert np.max(np.abs(res.closest_pt_state - bell_rho_s)) <= 1e-10
-        assert res.distance_exact == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-        assert res.rank == 3
+        assert np.max(np.abs(res.rho_s[0] - bell_rho_s)) <= 1e-10
+        assert res.distance_exact[0] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        assert res.rank[0] == 3
 
     def test_ppt_fixed_point(self):
         sigma = make_named("ff2_rho2")  # product state, PPT
         res = closest_pt_state(sigma)
-        assert res.distance_exact <= 1e-10
-        assert np.max(np.abs(res.closest_pt_state - sigma.matrix)) <= 1e-10
+        assert res.distance_exact[0] <= 1e-10
+        assert np.max(np.abs(res.rho_s[0] - sigma.matrix)) <= 1e-10
 
     def test_ppt_idempotence_random(self):
         hit = 0
@@ -157,21 +158,22 @@ class TestClosestPtState:
                 continue
             hit += 1
             res = closest_pt_state(rho)
-            assert res.distance_exact <= 1e-10
+            assert res.distance_exact[0] <= 1e-10
         assert hit > 10
 
     def test_invariants_random(self):
         for seed in range(500):
             rho = sample_hs_random(4, seed)
             res = closest_pt_state(rho)
-            assert np.all(res.e_squared >= 0)
-            assert res.e_squared.sum() == pytest.approx(1.0, abs=1e-10)
-            assert np.trace(res.closest_pt_state).real == pytest.approx(1.0, abs=1e-10)
-            assert hs_norm(res.closest_pt_state - res.closest_pt_state.conj().T) <= 1e-10
+            rho_s = res.rho_s[0]
+            assert np.all(res.e2 >= 0)
+            assert res.e2.sum() == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(rho_s).real == pytest.approx(1.0, abs=1e-10)
+            assert hs_norm(rho_s - rho_s.conj().T) <= 1e-10
             # PT isometry: distance computed in PT space equals state space
             pt = partial_transpose(rho.matrix, rho.dims)
-            sigma = partial_transpose(res.closest_pt_state, rho.dims)
-            assert abs(res.distance_exact - hs_norm(pt - sigma)) <= 1e-12
+            sigma = partial_transpose(rho_s, rho.dims)
+            assert abs(res.distance_exact[0] - hs_norm(pt - sigma)) <= 1e-12
 
     def test_rank2_cases_have_indefinite_rho_s(self):
         # rank-2 projections are vanishingly rare under the HS measure; rank-2
@@ -185,10 +187,10 @@ class TestClosestPtState:
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
             res = closest_pt_state(DensityMatrix(rho, (2, 2)))
-            if res.d_min >= -1e-10 or res.rank != 2:
+            if res.d[0, 0] >= -1e-10 or res.rank[0] != 2:
                 continue
             rank2 += 1
-            if res.rho_s_is_positive:
+            if res.rho_s_is_positive[0]:
                 violations.append(seed)
         assert rank2 > 20
         assert not violations, f"{len(violations)}/{rank2} rank-2 cases had PSD rho_s"
@@ -363,15 +365,16 @@ def two_qubit_formula(d_min):
 class TestTwoQubitDistance:
     def test_bell(self, bell):
         res = closest_pt_state(bell)
-        assert res.rank == 3
-        assert two_qubit_formula(res.d_min) == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-        assert res.distance_exact == pytest.approx(two_qubit_formula(res.d_min), abs=1e-12)
-        assert res.distance_closed_form == pytest.approx(two_qubit_formula(res.d_min), abs=1e-12)
+        d_min = res.d[0, 0]
+        assert res.rank[0] == 3
+        assert two_qubit_formula(d_min) == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        assert res.distance_exact[0] == pytest.approx(two_qubit_formula(d_min), abs=1e-12)
+        assert distance_closed_form(res.d, res.kept)[0] == pytest.approx(two_qubit_formula(d_min), abs=1e-12)
 
     def test_ppt(self):
         res = closest_pt_state(max_mixed(4))
-        assert res.distance_closed_form == 0.0
-        assert res.distance_exact <= 1e-15
+        assert distance_closed_form(res.d, res.kept)[0] == 0.0
+        assert res.distance_exact[0] <= 1e-15
 
     def test_wrong_dims(self):
         # the formula is the two-qubit case n = 4 of sqrt(n/(n-1))|d_min|, the
@@ -380,22 +383,24 @@ class TestTwoQubitDistance:
         checked = 0
         for seed in range(200):
             res = closest_pt_state(sample_hs_random(6, seed, dims=(2, 3)))
-            if res.rank != 5 or res.pt_spectrum[1] < 0:
+            d, distance = res.d[0], res.distance_exact[0]
+            if res.rank[0] != 5 or d[1] < 0:
                 continue
             checked += 1
-            assert res.distance_exact == pytest.approx(np.sqrt(6 / 5) * -res.d_min, abs=1e-12)
-            assert two_qubit_formula(res.d_min) == pytest.approx(np.sqrt(10 / 9) * res.distance_exact, rel=1e-12)
+            assert distance == pytest.approx(np.sqrt(6 / 5) * -d[0], abs=1e-12)
+            assert two_qubit_formula(d[0]) == pytest.approx(np.sqrt(10 / 9) * distance, rel=1e-12)
         assert checked > 10
 
     def test_formula_matches_exact_whenever_rank3(self):
         checked = 0
         for seed in range(2000):
             res = closest_pt_state(sample_hs_random(4, seed))
-            if res.d_min >= -1e-10 or res.rank != 3:
+            d_min = res.d[0, 0]
+            if d_min >= -1e-10 or res.rank[0] != 3:
                 continue
             checked += 1
-            assert abs(two_qubit_formula(res.d_min) - res.distance_exact) <= 1e-10
-            assert abs(two_qubit_formula(res.d_min) - res.distance_closed_form) <= 1e-10
+            assert abs(two_qubit_formula(d_min) - res.distance_exact[0]) <= 1e-10
+            assert abs(two_qubit_formula(d_min) - distance_closed_form(res.d, res.kept)[0]) <= 1e-10
         assert checked > 1000
 
 

@@ -7,6 +7,7 @@ import reference_projection as ref
 from entgeo import (
     closest_pt_state,
     closest_pt_states,
+    distance_closed_form,
     eig_hermitian,
     make_named,
     partial_transpose,
@@ -14,7 +15,6 @@ from entgeo import (
     sample_hs_random_stack,
 )
 from entgeo.cli import main
-from entgeo.projection import PSD_REPORT_TOL
 
 DIMS = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4)]
 
@@ -44,21 +44,27 @@ def test_stats_without_npt_states_matches_reference(capsys):
     assert lines[1].endswith("(0/2)")
 
 
+def assert_rows_are_reference(batch, wants):
+    """Each row of a projection batch equals its per-state reference result bit for bit."""
+    distance_exact = batch.distance_exact
+    closed_form = distance_closed_form(batch.d, batch.kept)
+    for i, want in enumerate(wants):
+        assert np.array_equal(batch.rho_s[i], want.closest_pt_state)
+        assert np.array_equal(np.sort(batch.e2[i])[::-1], want.e_squared)
+        assert batch.lam[i] == want.lam
+        assert tuple(np.flatnonzero(batch.kept[i])) == want.kept_indices
+        assert distance_exact[i] == want.distance_exact
+        assert closed_form[i] == want.distance_closed_form
+        assert batch.rho_s_is_positive[i] == want.rho_s_is_positive
+        assert batch.d[i, 0] == want.d_min
+
+
 @pytest.mark.parametrize("dims", DIMS, ids=dims_id)
 def test_closest_pt_state_fields_bitwise(dims):
     n = dims[0] * dims[1]
     for seed in range(500):
         rho = ref.sample_hs_random(n, seed, dims=dims)
-        got = closest_pt_state(rho)
-        want = ref.closest_pt_state(rho)
-        assert np.array_equal(got.closest_pt_state, want.closest_pt_state)
-        assert np.array_equal(got.e_squared, want.e_squared)
-        assert got.lam == want.lam
-        assert got.kept_indices == want.kept_indices
-        assert got.distance_exact == want.distance_exact
-        assert got.distance_closed_form == want.distance_closed_form
-        assert got.rho_s_is_positive == want.rho_s_is_positive
-        assert got.d_min == want.d_min
+        assert_rows_are_reference(closest_pt_state(rho), [ref.closest_pt_state(rho)])
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=dims_id)
@@ -67,14 +73,7 @@ def test_closest_pt_states_rows_bitwise(dims):
     seeds = range(300, 500)
     batch = closest_pt_states(sample_hs_random_stack(n, seeds), dims)
     assert np.array_equal(batch.rank, batch.kept.sum(axis=1))
-    for i, seed in enumerate(seeds):
-        want = ref.closest_pt_state(ref.sample_hs_random(n, seed, dims=dims))
-        assert np.array_equal(batch.rho_s[i], want.closest_pt_state)
-        assert np.array_equal(np.sort(batch.e2[i])[::-1], want.e_squared)
-        assert batch.lam[i] == want.lam
-        assert tuple(np.flatnonzero(batch.kept[i])) == want.kept_indices
-        assert batch.d[i, 0] == want.d_min
-        assert (batch.rho_s_min_eig[i] >= -PSD_REPORT_TOL) == want.rho_s_is_positive
+    assert_rows_are_reference(batch, [ref.closest_pt_state(ref.sample_hs_random(n, seed, dims=dims)) for seed in seeds])
 
 
 def _invariance_states(case):
@@ -92,12 +91,18 @@ def test_projection_does_not_depend_on_the_transposed_factor(case):
     for rho in _invariance_states(case):
         got = closest_pt_state(rho)
         want = ref.closest_pt_state(rho, "A")
-        assert np.abs(got.closest_pt_state - want.closest_pt_state).max() <= 1e-14
-        assert np.abs(got.e_squared - want.e_squared).max() <= 1e-14
-        for field in ("lam", "distance_exact", "distance_closed_form", "d_min"):
-            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-14, field
-        assert got.kept_indices == want.kept_indices
-        assert got.rho_s_is_positive == want.rho_s_is_positive
+        assert np.abs(got.rho_s[0] - want.closest_pt_state).max() <= 1e-14
+        assert np.abs(np.sort(got.e2[0])[::-1] - want.e_squared).max() <= 1e-14
+        scalars = {
+            "lam": got.lam[0],
+            "distance_exact": got.distance_exact[0],
+            "distance_closed_form": distance_closed_form(got.d, got.kept)[0],
+            "d_min": got.d[0, 0],
+        }
+        for field, value in scalars.items():
+            assert abs(value - getattr(want, field)) <= 1e-14, field
+        assert tuple(np.flatnonzero(got.kept[0])) == want.kept_indices
+        assert got.rho_s_is_positive[0] == want.rho_s_is_positive
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16])
