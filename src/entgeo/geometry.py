@@ -31,32 +31,27 @@ _SCAN_BLOCK = 16384
 # NumPy 2.4, OpenBLAS 1 thread).
 MAX_RESOLUTION = 1601
 
+# Largest |a| or |b| a scan may reach. Every state lies within HS radius 1 of
+# I/n, and bounds near 1e284 overflow the contour crossings.
+_MAX_COORDINATE = 1e6
+
 
 @dataclass(frozen=True)
 class Plane:
-    """An affine 2-plane through I/n with an HS-orthonormal traceless frame.
+    """An affine 2-plane through I/n with an HS-orthonormal traceless frame (A1, A2).
 
+    ``dims`` is the anchors' bipartition, the one the partial transpose uses.
     The anchors satisfy rho_i = I/n + a*A1 + b*A2 for some coordinates (a, b),
     so HS distances in the plane equal Euclidean distances in (a, b).
     """
 
-    n: int
-    anchor1: DensityMatrix
-    anchor2: DensityMatrix
+    dims: tuple[int, int]
     a1: np.ndarray
     a2: np.ndarray
 
     @property
-    def dims(self) -> tuple[int, int]:
-        return self.anchor1.dims
-
-    def coordinates_of(self, m: np.ndarray) -> tuple[float, float]:
-        """(a, b) frame coordinates of a matrix (its in-plane component)."""
-        centered = m - np.eye(self.n) / self.n
-        return (
-            float(hs_inner(self.a1, centered).real),
-            float(hs_inner(self.a2, centered).real),
-        )
+    def n(self) -> int:
+        return len(self.a1)
 
 
 def build_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> Plane:
@@ -76,7 +71,7 @@ def build_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> Plane:
     if norm2 < 1e-12:
         raise ValueError("anchors are linearly dependent around I/n (degenerate plane)")
     a2 = v2 / norm2
-    return Plane(n=n, anchor1=rho1, anchor2=rho2, a1=a1, a2=a2)
+    return Plane(dims=rho1.dims, a1=a1, a2=a2)
 
 
 def state_at(plane: Plane, a, b) -> np.ndarray:
@@ -107,12 +102,6 @@ class ScanGrid:
         object.__setattr__(self, "is_state", above_noise_floor(self.min_eig))
         object.__setattr__(self, "is_ppt", self.is_state & above_noise_floor(self.min_eig_pt))
 
-    @property
-    def cell_size(self) -> float:
-        da = float(self.a_values[1] - self.a_values[0])
-        db = float(self.b_values[1] - self.b_values[0])
-        return max(da, db)
-
 
 def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ms = state_at(plane, pts[:, 0], pts[:, 1])
@@ -127,11 +116,10 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     b_min, b_max, nb = b_range
     if not (2 <= na <= MAX_RESOLUTION and 2 <= nb <= MAX_RESOLUTION):
         raise ValueError(f"need 2 to {MAX_RESOLUTION} steps per axis, got {na}x{nb}")
-    # the span hi - lo must be finite too, or linspace overflows
-    spans = (a_max - a_min, b_max - b_min)
-    if not (np.isfinite([a_min, a_max, b_min, b_max, *spans]).all() and a_min < a_max and b_min < b_max):
+    # NaN fails the comparison too
+    if not ((np.abs([a_min, a_max, b_min, b_max]) <= _MAX_COORDINATE).all() and a_min < a_max and b_min < b_max):
         raise ValueError(
-            f"axis ranges need finite bounds and span with lo < hi, got {a_min}:{a_max}, {b_min}:{b_max}"
+            f"axis ranges need lo < hi within [-{_MAX_COORDINATE:g}, {_MAX_COORDINATE:g}], got {a_min}:{a_max}, {b_min}:{b_max}"
         )
     a_values = np.linspace(a_min, a_max, na)
     b_values = np.linspace(b_min, b_max, nb)
@@ -304,22 +292,20 @@ def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
     return lines
 
 
-def _bilinear(grid: ScanGrid, f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a grid field at arrays of (a, b) points."""
+def _in_state_body(grid: ScanGrid, pts: np.ndarray) -> np.ndarray:
+    """True where min_eig, interpolated bilinearly at (a, b) points, is >= -STATE_BODY_SLACK."""
+    a, b, f = pts[:, 0], pts[:, 1], grid.min_eig
     ia = np.clip(np.searchsorted(grid.a_values, a) - 1, 0, len(grid.a_values) - 2)
     ib = np.clip(np.searchsorted(grid.b_values, b) - 1, 0, len(grid.b_values) - 2)
     ta = (a - grid.a_values[ia]) / (grid.a_values[ia + 1] - grid.a_values[ia])
     tb = (b - grid.b_values[ib]) / (grid.b_values[ib + 1] - grid.b_values[ib])
-    return (
+    interpolated = (
         f[ia, ib] * (1 - ta) * (1 - tb)
         + f[ia + 1, ib] * ta * (1 - tb)
         + f[ia, ib + 1] * (1 - ta) * tb
         + f[ia + 1, ib + 1] * ta * tb
     )
-
-
-def _in_state_body(grid: ScanGrid, pts: np.ndarray) -> np.ndarray:
-    return _bilinear(grid, grid.min_eig, pts[:, 0], pts[:, 1]) >= -STATE_BODY_SLACK
+    return interpolated >= -STATE_BODY_SLACK
 
 
 def _restrict_to_state_body(grid: ScanGrid, lines):
@@ -333,39 +319,6 @@ def _restrict_to_state_body(grid: ScanGrid, lines):
             if stop - start >= 2:
                 out.append(line[start:stop])
     return out
-
-
-def points_in_state_body(grid: ScanGrid, points) -> np.ndarray:
-    """Subset of (a, b) points whose interpolated min eigenvalue is >= -STATE_BODY_SLACK."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return pts[_in_state_body(grid, pts)]
-
-
-def radial_similarity_residual(grid: ScanGrid, level: float) -> float:
-    """Worst radial misfit between a negativity contour and the scaled PPT boundary.
-
-    Along any ray from I/n the PT spectrum is affine, so the negativity-N level
-    set sits at radius r0(theta) * (1 + n*N/2) where r0 is the PPT boundary
-    radius. Returns max |r - predicted| over in-body contour points (0.0 if
-    either contour is empty).
-    """
-    boundary = boundary_contours(grid, "ppt_boundary")
-    contour = boundary_contours(grid, "negativity", level)
-    if not boundary or not contour:
-        return 0.0
-    pts = points_in_state_body(grid, np.vstack(contour))
-    if len(pts) == 0:
-        return 0.0
-    bpts = np.vstack(boundary)
-    bth = np.arctan2(bpts[:, 1], bpts[:, 0])
-    br = np.hypot(bpts[:, 0], bpts[:, 1])
-    order = np.argsort(bth)
-    bth, br = bth[order], br[order]
-    th = np.arctan2(pts[:, 1], pts[:, 0])
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    r0 = np.interp(th, bth, br, period=2 * np.pi)
-    predicted = r0 * (1.0 + grid.plane.n * level / 2.0)
-    return float(np.max(np.abs(r - predicted)))
 
 
 # ---------------------------------------------------------------------------

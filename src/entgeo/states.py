@@ -33,7 +33,7 @@ class DensityMatrix:
 
 
 def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
-    """Check finiteness, Hermiticity, unit trace, and positivity; return a DensityMatrix.
+    """Check finiteness, entry size, Hermiticity, unit trace, and positivity; return a DensityMatrix.
 
     The first property violated by more than ``DEFAULT_TOL`` is reported with its magnitude.
     """
@@ -43,6 +43,10 @@ def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
     da, db = dims
     if da * db != m.shape[0]:
         raise ValueError(f"dims {dims} inconsistent with matrix size {m.shape[0]}")
+    # no entry of a state exceeds 1 in magnitude; larger ones could overflow the norms below
+    peak = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    if peak > 1 + DEFAULT_TOL:
+        raise ValueError(f"not a state, |Re| or |Im| of an entry is {peak:.4g} > 1")
     asym = asymmetry(m)
     if asym > DEFAULT_TOL:
         raise ValueError(f"not Hermitian, asymmetry {asym:.4g}")

@@ -116,6 +116,17 @@ class TestProject:
         assert code == 2
         assert "state has non-finite entries" in err
 
+    def test_huge_entry_exits_2_without_a_warning(self, tmp_path, capsys):
+        # its asymmetry norm overflowed; the suite turns a RuntimeWarning into an error
+        doc = json.loads(state_to_json(make_named("max_mixed4")))
+        doc["matrix"] = [[[0.0, 0.0]] * 4 for _ in range(4)]
+        doc["matrix"][0][0] = [0.0, 1.34078079e154]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "project", "--state", str(path))
+        assert code == 2
+        assert err == "error: not a state, |Re| or |Im| of an entry is 1.341e+154 > 1\n"
+
     def test_overflowing_dims_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text('{"dims": [1e400, 2], "matrix": [[[1.0, 0.0]]]}')
@@ -398,7 +409,7 @@ class TestScan:
         assert err == "error: need 2 to 1601 steps per axis, got 1602x1602\n"
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("bounds", ["0.9:-0.9", "0.5:0.5", "nan:0.5", "-0.5:inf", "-1e308:1e308"])
+    @pytest.mark.parametrize("bounds", ["0.9:-0.9", "0.5:0.5", "nan:0.5", "-0.5:inf", "-1e308:1e308", "-1e284:1e284"])
     def test_bad_range_exits_2(self, tmp_path, capsys, bounds):
         out_path = tmp_path / "g.csv"
         code, _, err = run(capsys, "scan", "--plane", "ff3", "--resolution", "41", f"--range={bounds}", "--out", str(out_path))

@@ -10,24 +10,68 @@ from entgeo import (
     hs_norm,
     make_named,
     max_mixed,
+    pt_negativity,
     sample_hs_random,
     scan_plane,
     state_at,
 )
 from entgeo import geometry
-from entgeo.geometry import (
-    ScanGrid,
-    _marching_squares,
-    points_in_state_body,
-    radial_similarity_residual,
-)
+from entgeo.cli import resolve_plane
+from entgeo.geometry import _marching_squares
 from entgeo.states import DensityMatrix, partial_transpose
+
+import reference_geometry as ref
 
 SQRT3 = np.sqrt(3.0)
 
 
+def ff_anchors(tag):
+    return make_named("bell_psi_plus"), make_named(f"{tag}_rho2")
+
+
 def ff_plane(tag):
-    return build_plane(make_named("bell_psi_plus"), make_named(f"{tag}_rho2"))
+    return build_plane(*ff_anchors(tag))
+
+
+def coordinates(plane, m):
+    """(a, b) frame coordinates of a matrix (its in-plane component)."""
+    centered = m - np.eye(plane.n) / plane.n
+    return hs_inner(plane.a1, centered).real, hs_inner(plane.a2, centered).real
+
+
+def grid_step(grid):
+    return max(grid.a_values[1] - grid.a_values[0], grid.b_values[1] - grid.b_values[0])
+
+
+def exact_radius(plane, theta, kind, level=0.0):
+    """Radius of a contour along the ray from I/n at angle theta, by the paper's similarity law.
+
+    Every eigenvalue of I/n + r*B, with B = cos(theta)*A1 + sin(theta)*A2, and
+    of its PT is 1/n + r*mu for mu an eigenvalue of B or of B^PT. Both are
+    traceless, so their least eigenvalue is negative and each contour is met
+    once: the state boundary at r = 1/(n|lambda_min(B)|), the PPT boundary at
+    r = 1/(n|mu_min(B^PT)|), and two-qubit negativity N = -2(1/n + r*mu_min)
+    inside the state body at r = (N/2 + 1/n)/|mu_min(B^PT)|, which is
+    r_PPT*(1 + n*N/2).
+    """
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    b = np.cos(theta) * plane.a1 + np.sin(theta) * plane.a2
+    if kind == "state_boundary":
+        return 1 / (plane.n * -np.linalg.eigvalsh(b)[..., 0])
+    mu = np.linalg.eigvalsh(partial_transpose(b, plane.dims))[..., 0]
+    return (level / 2 + 1 / plane.n) / -mu
+
+
+def radial_errors(grid, kind, level=0.0):
+    """|r - exact radius| at every contour point; negativity points only inside the state body."""
+    lines = boundary_contours(grid, kind, level)
+    pts = np.vstack(lines) if lines else np.empty((0, 2))
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    if kind == "negativity":
+        inside = r <= exact_radius(grid.plane, theta, "state_boundary")
+        theta, r = theta[inside], r[inside]
+    return np.abs(r - exact_radius(grid.plane, theta, kind, level))
 
 
 def max_perpendicular_deviation(pts):
@@ -84,13 +128,13 @@ class TestBuildPlane:
                 assert abs(np.trace(a)) <= 1e-12
                 assert hs_norm(a - a.conj().T) <= 1e-12
             # anchors are exactly representable in the frame
-            for rho in (plane.anchor1, plane.anchor2):
-                a, b = plane.coordinates_of(rho.matrix)
+            for rho in ff_anchors(tag):
+                a, b = coordinates(plane, rho.matrix)
                 assert hs_norm(rho.matrix - state_at(plane, a, b)) <= 1e-10
 
     def test_ff1_bell_radius(self):
         plane = ff_plane("ff1")
-        a, b = plane.coordinates_of(make_named("bell_psi_plus").matrix)
+        a, b = coordinates(plane, make_named("bell_psi_plus").matrix)
         assert a == pytest.approx(SQRT3 / 2, abs=1e-12)
         assert b == pytest.approx(0.0, abs=1e-12)
 
@@ -284,7 +328,7 @@ class TestBoundaryContours:
         # radial function of a convex curve has no inward spikes beyond a cell
         rr = r[order]
         local_mean = (np.roll(rr, 1) + np.roll(rr, -1)) / 2
-        assert np.max(local_mean - rr) <= ff1_grid.cell_size
+        assert np.max(local_mean - rr) <= grid_step(ff1_grid)
 
     def test_extremal_states_on_state_boundary(self, ff1_grid):
         # pure anchors and the rank-2 quasi-distillable corner are rank
@@ -292,35 +336,24 @@ class TestBoundaryContours:
         plane = ff1_grid.plane
         pts = np.vstack(boundary_contours(ff1_grid, "state_boundary"))
         for tag in ("bell_psi_plus", "ff1_rho2", "quasi_distillable"):
-            a, b = plane.coordinates_of(make_named(tag).matrix)
+            a, b = coordinates(plane, make_named(tag).matrix)
             dist = np.min(np.hypot(pts[:, 0] - a, pts[:, 1] - b))
-            assert dist <= ff1_grid.cell_size, tag
+            assert dist <= grid_step(ff1_grid), tag
 
     def test_planted_rank_deficient_states_on_boundary(self, ff1_grid):
-        # walk rays outward to the last PSD point; that state is rank
-        # deficient and must localize on the extracted boundary
+        # the state at the exact boundary radius of a ray is rank deficient
+        # and must localize on the extracted boundary
         g = ff1_grid
         pts = np.vstack(boundary_contours(g, "state_boundary"))
-        plane = g.plane
         for theta in np.linspace(0, 2 * np.pi, 12, endpoint=False):
-            direction = np.array([np.cos(theta), np.sin(theta)])
-            lo, hi = 0.0, 1.5
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                m = state_at(plane, *(mid * direction))
-                if np.linalg.eigvalsh(m)[0] >= 0:
-                    lo = mid
-                else:
-                    hi = mid
-            edge = lo * direction
-            m = state_at(plane, *edge)
-            assert abs(np.linalg.eigvalsh(m)[0]) <= 1e-10  # rank deficient
-            assert np.min(np.hypot(pts[:, 0] - edge[0], pts[:, 1] - edge[1])) <= g.cell_size
+            edge = exact_radius(g.plane, theta, "state_boundary") * np.array([np.cos(theta), np.sin(theta)])
+            assert abs(np.linalg.eigvalsh(state_at(g.plane, *edge))[0]) <= 1e-10
+            assert np.min(np.hypot(pts[:, 0] - edge[0], pts[:, 1] - edge[1])) <= grid_step(g)
 
     def test_ppt_boundary_det_zero(self, ff1_grid):
         g = ff1_grid
         plane = g.plane
-        h = g.cell_size
+        h = grid_step(g)
 
         def det_pt(a, b):
             m = state_at(plane, a, b)
@@ -336,15 +369,13 @@ class TestBoundaryContours:
 
     def test_negativity_one_degenerates_at_bell(self, ff1_grid):
         lines = boundary_contours(ff1_grid, "negativity", 0.95)
-        pts = points_in_state_body(ff1_grid, np.vstack(lines))
+        pts = ref.points_in_state_body(ff1_grid, np.vstack(lines))
         assert len(pts) > 0
         dist = np.hypot(pts[:, 0] - SQRT3 / 2, pts[:, 1])
         assert np.max(dist) <= 0.05
-        top = points_in_state_body(
-            ff1_grid, np.vstack(boundary_contours(ff1_grid, "negativity", 1.0))
-        )
+        top = ref.points_in_state_body(ff1_grid, np.vstack(boundary_contours(ff1_grid, "negativity", 1.0)))
         # the level-1 set is the single point rho_1
-        assert all(np.hypot(a - SQRT3 / 2, b) <= 2 * ff1_grid.cell_size for a, b in top)
+        assert all(np.hypot(a - SQRT3 / 2, b) <= 2 * grid_step(ff1_grid) for a, b in top)
 
     def test_unknown_kind(self, ff1_grid):
         with pytest.raises(ValueError, match="unknown contour kind"):
@@ -366,37 +397,68 @@ class TestReferenceFigures:
         checked = 0
         for level in (0.1, 0.3, 0.5):
             for line in boundary_contours(grid, "negativity", level):
-                pts = points_in_state_body(grid, line)
+                pts = ref.points_in_state_body(grid, line)
                 if len(pts) < 10:
                     continue
                 checked += 1
-                assert max_perpendicular_deviation(pts) <= 2 * grid.cell_size
+                assert max_perpendicular_deviation(pts) <= 2 * grid_step(grid)
         assert checked >= 3
 
     def test_ff8_contours_are_piecewise_straight(self):
         grid = scan_plane(ff_plane("ff8"), (-0.9, 0.9, 401), (-0.9, 0.9, 401))
         for level in (0.1, 0.3, 0.5):
             for line in boundary_contours(grid, "negativity", level):
-                pts = points_in_state_body(grid, line)
+                pts = ref.points_in_state_body(grid, line)
                 if len(pts) < 10:
                     continue
-                runs = split_into_straight_runs(pts, 2 * grid.cell_size)
+                runs = split_into_straight_runs(pts, 2 * grid_step(grid))
                 long_runs = [r for r in runs if len(r) >= 10]
                 covered = sum(len(r) for r in long_runs)
                 assert covered >= 0.9 * len(pts)
                 for run in long_runs:
-                    assert max_perpendicular_deviation(run) <= 2 * grid.cell_size
+                    assert max_perpendicular_deviation(run) <= 2 * grid_step(grid)
 
-    def test_ff1_similarity_law(self):
-        grid = scan_plane(ff_plane("ff1"), (-0.9, 0.9, 401), (-0.9, 0.9, 401))
-        assert radial_similarity_residual(grid, 0.2) <= 2 * grid.cell_size
+    @pytest.mark.parametrize("spec", ["ff1", "ff3", "random:1"])
+    def test_exact_radii_solve_the_spectral_conditions(self, spec):
+        # the polar law against eigvalsh at the radii it predicts
+        plane = resolve_plane(spec)
+        theta = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+        rays = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+        def spectra(kind, level=0.0):
+            m = state_at(plane, *(exact_radius(plane, theta, kind, level)[:, None] * rays).T)
+            return np.linalg.eigvalsh(m), np.linalg.eigvalsh(partial_transpose(m, plane.dims))
+
+        eigs, _ = spectra("state_boundary")
+        assert np.max(np.abs(eigs[:, 0])) <= 1e-12
+        _, eigs_pt = spectra("ppt_boundary")
+        assert np.max(np.abs(eigs_pt[:, 0])) <= 1e-12
+        r_state = exact_radius(plane, theta, "state_boundary")
+        for level in (0.2, 0.5):
+            inside = exact_radius(plane, theta, "negativity", level) <= r_state
+            _, eigs_pt = spectra("negativity", level)
+            neg = pt_negativity(eigs_pt, plane.dims)
+            assert np.max(np.abs(neg[inside] - level), initial=0.0) <= 1e-12
+            ratio = exact_radius(plane, theta, "negativity", level) / exact_radius(plane, theta, "ppt_boundary")
+            assert np.allclose(ratio, 1 + plane.n * level / 2, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("spec", ["ff1", "ff2", "ff3", "ff4", "ff8", "random:1", "random:2"])
+    def test_contours_follow_the_exact_polar_law(self, spec):
+        # marching squares against the similarity law, within one grid step
+        grid = scan_plane(resolve_plane(spec), (-0.9, 0.9, 101), (-0.9, 0.9, 101))
+        for kind, level in [("state_boundary", 0.0), ("ppt_boundary", 0.0), ("negativity", 0.2), ("negativity", 0.5)]:
+            errors = radial_errors(grid, kind, level)
+            # both boundaries cross every plane here; random:1 has no negativity-0.2 point in the body
+            assert len(errors) > 0 or kind == "negativity", kind
+            assert np.max(errors, initial=0.0) <= grid_step(grid), (kind, level)
 
     def test_ff8_mirror_symmetry(self):
         # swapping the two Bell anchors is a local unitary, so the negativity
         # field is exactly mirror symmetric about the bisector of the anchors
-        plane = ff_plane("ff8")
-        a1 = plane.coordinates_of(plane.anchor1.matrix)
-        a2 = plane.coordinates_of(plane.anchor2.matrix)
+        anchor1, anchor2 = ff_anchors("ff8")
+        plane = build_plane(anchor1, anchor2)
+        a1 = coordinates(plane, anchor1.matrix)
+        a2 = coordinates(plane, anchor2.matrix)
         phi = (np.arctan2(a1[1], a1[0]) + np.arctan2(a2[1], a2[0])) / 2
         c, s = np.cos(2 * phi), np.sin(2 * phi)
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entgeo import (
@@ -36,23 +36,27 @@ def support(kept):
     return np.flatnonzero(kept).tolist()
 
 
-def simplex_oracle(d, target=1.0):
-    """Brute-force simplex projection: enumerate every nonempty support set,
-    solve for the shift on each, keep the feasible minimum-residual candidate."""
+def simplex_oracle(d, target=1.0, tie=1e-12):
+    """Brute-force simplex projection by its KKT conditions: enumerate every
+    nonempty support, solve for the shift lam on it, and keep the support whose
+    entries stay positive, d_i + lam > 0, while every dropped entry has
+    d_j + lam <= 0. Returns (x, lam, support).
+
+    Exactly one support qualifies, up to ties d_i + lam = 0, which the
+    conditions allow within rounding (``tie``); tied entries are 0 in every
+    qualifying support, and the smallest one is returned.
+    """
     d = np.asarray(d, dtype=float)
     n = d.size
-    best = None
+    found = []
     for r in range(1, n + 1):
         for support in itertools.combinations(range(n), r):
-            lam = (target - d[list(support)].sum()) / r
-            x = np.zeros(n)
-            x[list(support)] = d[list(support)] + lam
-            if np.any(x[list(support)] <= 0):
-                continue
-            residual = np.sum((x - d) ** 2)
-            if best is None or residual < best[0]:
-                best = (residual, x, lam, support)
-    return best
+            kept = np.isin(np.arange(n), support)
+            lam = (target - d[kept].sum()) / r
+            if np.all(d[kept] + lam > -tie) and np.all(d[~kept] + lam <= tie):
+                found.append((np.where(kept, d + lam, 0.0), lam, support))
+    assert found and all(np.allclose(x, found[0][0], rtol=0, atol=1e-10) for x, _, _ in found), d
+    return found[0]
 
 
 def spectrum_strategy(max_len=6):
@@ -112,9 +116,10 @@ class TestProjectSimplexPsd:
 
     @given(spectrum_strategy())
     @settings(max_examples=300)
+    @example([0.5, 0.5, 1e-9, -1.0])  # both supports' residuals round to 1.0; only (0, 1, 2) meets KKT
     def test_matches_brute_force_oracle(self, d):
         e2, lam, kept = project_simplex_psd(d)
-        residual, x, lam_o, oracle_support = simplex_oracle(d)
+        x, lam_o, oracle_support = simplex_oracle(d)
         assert np.allclose(e2, x, atol=1e-10)
         assert lam == pytest.approx(lam_o, abs=1e-10)
         # at a tie (d_i + lam == 0 up to roundoff) the support is ambiguous in

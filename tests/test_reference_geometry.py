@@ -30,11 +30,6 @@ def assert_grid_matches_reference(grid):
         assert_same_polylines(lines, ref_lines)
         got.append((kind, level, lines))
         want.append((kind, level, ref_lines))
-        if lines:
-            pts = np.vstack(lines)
-            assert np.array_equal(
-                geometry.points_in_state_body(grid, pts), ref.points_in_state_body(grid, pts)
-            )
     assert geometry.contours_to_json(got) == geometry.contours_to_json(want)
 
 

@@ -225,6 +225,19 @@ class TestValidateState:
         with pytest.raises(ValueError, match="state has non-finite entries"):
             validate_state(m, (2, 2))
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 0), 1.34078079e154j), ((0, 1), 1.7e308), ((1, 1), 1e308)],
+        ids=["imaginary-diagonal", "off-diagonal", "real-diagonal"],
+    )
+    def test_huge_entries_fail_before_any_norm(self, entry, value):
+        # each once overflowed the asymmetry or trace norm, or the symmetrization before eigh
+        m = (np.eye(4) / 4).astype(complex)
+        m[entry] = value
+        m[entry[::-1]] = np.conj(value) if entry[0] != entry[1] else value
+        with pytest.raises(ValueError, match=r"^not a state, \|Re\| or \|Im\| of an entry is [0-9.e+]+ > 1$"):
+            validate_state(m, (2, 2))
+
     def test_non_finite_checked_first(self):
         # would otherwise fail the dims check
         with pytest.raises(ValueError, match="non-finite"):
@@ -260,6 +273,8 @@ def mutated_state_docs(draw):
 
 # valid except for dims; each passed or crashed before dims had to be positive JSON integers
 MAX_MIXED_4 = state_to_dict(max_mixed(4))["matrix"]
+# the only nonzero entry overflowed the asymmetry norm with a RuntimeWarning
+HUGE_ENTRY = [[[0, 1.34078079e154] if i == j == 0 else [0, 0] for j in range(4)] for i in range(4)]
 BAD_DIMS = {"overflow": "[1e400, 2]", "negative": "[-2, -2]", "fractional": "[2.9, 2]", "bool": "[true, 4]"}
 
 
@@ -272,6 +287,7 @@ class TestJson:
 
     @given(st.one_of(json_trees, mutated_state_docs()).map(json.dumps))
     @example(f'{{"dims": [1e400, 2], "matrix": {json.dumps(MAX_MIXED_4)}}}')
+    @example(json.dumps({"dims": [2, 2], "matrix": HUGE_ENTRY}))
     @example(f'{{"dims": [1, 1], "matrix": [[[{"9" * 400}, 0]]]}}')
     @example("[" * 100_000)
     @example(f'[{"9" * 5000}]')
