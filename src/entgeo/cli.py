@@ -88,7 +88,7 @@ def cmd_project(args) -> int:
     rho = _resolve_state(args.state)
     res = projection.closest_pt_state(rho)
     d = res.d[0]
-    neg = float(projection.pt_negativity(d, rho.dims))
+    neg = float(projection.pt_negativity(d))
     robustness = float(projection.pt_robustness(d))
     spectrum, e_squared = d.tolist(), np.sort(res.e2[0])[::-1].tolist()
     lam = float(res.lam[0])
@@ -164,7 +164,7 @@ def cmd_stats(args) -> int:
         is_npt = ~projection.above_noise_floor(d[:, 0])
         res = projection.project_pt_spectra(rhos[is_npt], d[is_npt], u[is_npt], (da, db))
         # one at a time in seed order, so the sum rounds as a per-state loop's would
-        for value in projection.pt_negativity(res.d, (da, db)).tolist():
+        for value in projection.pt_negativity(res.d).tolist():
             neg_sum += value
         is_rank2 = res.rank == 2
         npt += len(res.d)

@@ -107,7 +107,7 @@ def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     ms = state_at(plane, pts[:, 0], pts[:, 1])
     eigs = np.linalg.eigvalsh(ms)
     eigs_pt = np.linalg.eigvalsh(partial_transpose(ms, plane.dims))
-    return eigs[:, 0], eigs_pt[:, 0], pt_negativity(eigs_pt, plane.dims)
+    return eigs[:, 0], eigs_pt[:, 0], pt_negativity(eigs_pt)
 
 
 def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[float, float, int]) -> ScanGrid:

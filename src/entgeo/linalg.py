@@ -46,9 +46,10 @@ def hs_norm(a: np.ndarray) -> float:
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, u) of a Hermitian matrix or a (..., n, n) stack of them, A = u diag(w) u^dagger.
 
-    Every matrix must be Hermitian within ``DEFAULT_TOL`` (measured as
-    ||A - A^dagger||_2; the error reports the worst one); it is symmetrized
-    before decomposition so roundoff asymmetry cannot leak into the spectrum.
+    Every entry must be finite and every matrix Hermitian within
+    ``DEFAULT_TOL`` (measured as ||A - A^dagger||_2; the error reports the
+    worst one); it is symmetrized before decomposition so roundoff asymmetry
+    cannot leak into the spectrum.
     Eigenvalues come back sorted ascending with the stack's leading axes, the
     columns of u are the matching eigenvectors, and repeated calls on the same
     input give bitwise-identical results, stacked or one matrix at a time.
@@ -56,6 +57,8 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     asym = asymmetry(a).max(initial=0.0)
     if asym > DEFAULT_TOL:
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > tol {DEFAULT_TOL:.3e}")

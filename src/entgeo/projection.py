@@ -9,11 +9,11 @@ mixing with the identity (:func:`pt_robustness`) and the closed-form distance
 over A all agree: sigma^{T_A} = (sigma^T)^{T_B}, and sigma^T is a state.
 
 Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
-``linalg.DEFAULT_TOL`` (1e-9). ``PPT_EIG_TOL`` (1e-10) is the eigensolver
+``linalg.DEFAULT_TOL`` (1e-9), and rho_s is positive by the same rule: at
+>= -1e-9, borderline in [-1e-9, 0). ``PPT_EIG_TOL`` (1e-10) is the eigensolver
 noise floor of the one predicate :func:`above_noise_floor`: a least eigenvalue
->= -1e-10 counts as PSD, for PT spectra (PPT; the robustness and the two-qubit
-negativity read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). rho_s
-is positive at >= -``PSD_REPORT_TOL`` (1e-9), borderline in [-1e-9, 0). Contour
+>= -1e-10 counts as PSD, for PT spectra (PPT; the negativity and the
+robustness read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). Contour
 points whose interpolated least eigenvalue is >= -``STATE_BODY_SLACK`` (1e-6)
 are in the state body; crossings equal to ``geometry._NODE_DECIMALS`` (9)
 decimals are one node.
@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian
+from .linalg import DEFAULT_TOL, eig_hermitian
 from .states import DensityMatrix, partial_transpose
 
 PPT_EIG_TOL = 1e-10
-PSD_REPORT_TOL = 1e-9
 STATE_BODY_SLACK = 1e-6
 
 
@@ -122,7 +121,7 @@ class ProjectionBatch:
 
     @property
     def rho_s_is_positive(self) -> np.ndarray:
-        return self.rho_s_min_eig >= -PSD_REPORT_TOL
+        return self.rho_s_min_eig >= -DEFAULT_TOL
 
     @property
     def distance_exact(self) -> np.ndarray:
@@ -169,17 +168,16 @@ def closest_pt_state(rho: DensityMatrix) -> ProjectionBatch:
     return closest_pt_states(rho.matrix[None], rho.dims)
 
 
-def pt_negativity(d, dims=None):
-    """Negativity of ascending PT spectra ``d`` (..., n); the one place its convention is set.
+def pt_negativity(d):
+    """Negativity N = ||rho^PT||_1 - 1 of ascending PT spectra ``d`` (..., n), for every bipartition.
 
-    dims (2, 2): the paper's 2|d_min|, 0 above the noise floor. Other or no
-    dims: Vidal and Werner's sum of |negative eigenvalues| in ascending order,
-    no floor, +0 if there are none. One convention for every dims is planned.
+    N is twice the sum of the |negative eigenvalues| in ascending order, 0 above the noise floor. A
+    two-qubit PT has at most one negative eigenvalue (Sanpera, Tarrach and Vidal 1998), so there N
+    is the paper's 2|d_min|. Vidal and Werner's negativity is N/2.
     """
     d = np.asarray(d, dtype=float)
-    if dims == (2, 2):
-        return np.where(above_noise_floor(d[..., 0]), 0.0, -2.0 * d[..., 0])
-    return np.cumsum(np.maximum(-d, 0.0), axis=-1)[..., -1]
+    neg = 2.0 * np.cumsum(np.maximum(-d, 0.0), axis=-1)[..., -1]
+    return np.where(above_noise_floor(d[..., 0]), 0.0, neg)
 
 
 def pt_robustness(d):

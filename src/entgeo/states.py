@@ -15,17 +15,35 @@ from .linalg import DEFAULT_TOL, as_matrix, asymmetry, eig_hermitian
 SQRT3 = np.sqrt(3.0)
 
 
+def _checked_dims(dims) -> tuple[int, int]:
+    """``dims`` as two Python ints >= 1: no floats to truncate, no bools."""
+    try:
+        da, db = dims
+    except (TypeError, ValueError):
+        da = db = None
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in (da, db)):
+        raise ValueError(f"dims must be two positive integers, got {dims!r}")
+    return int(da), int(db)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated quantum state with an explicit bipartition (dA, dB).
 
     Composite row index convention: a * dB + b for subsystem indices (a, b).
     Construct through :func:`validate_state` (or the named constructors) so the
-    Hermiticity / trace / positivity checks always run.
+    Hermiticity / trace / positivity checks always run. The dims are checked
+    on every construction: two positive integers with dA * dB the matrix size.
     """
 
     matrix: np.ndarray
     dims: tuple[int, int]
+
+    def __post_init__(self):
+        dims = _checked_dims(self.dims)
+        if self.matrix.shape != (dims[0] * dims[1],) * 2:
+            raise ValueError(f"dims {dims} inconsistent with a {self.matrix.shape} matrix")
+        object.__setattr__(self, "dims", dims)
 
     @property
     def dim(self) -> int:
@@ -33,16 +51,14 @@ class DensityMatrix:
 
 
 def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
-    """Check finiteness, entry size, Hermiticity, unit trace, and positivity; return a DensityMatrix.
+    """Check finiteness, dims, entry size, Hermiticity, unit trace, and positivity; return a DensityMatrix.
 
     The first property violated by more than ``DEFAULT_TOL`` is reported with its magnitude.
     """
     m = as_matrix(m)
     if not np.isfinite(m).all():
         raise ValueError("state has non-finite entries")
-    da, db = dims
-    if da * db != m.shape[0]:
-        raise ValueError(f"dims {dims} inconsistent with matrix size {m.shape[0]}")
+    rho = DensityMatrix(matrix=m, dims=dims)
     # no entry of a state exceeds 1 in magnitude; larger ones could overflow the norms below
     peak = max(np.abs(m.real).max(), np.abs(m.imag).max())
     if peak > 1 + DEFAULT_TOL:
@@ -56,7 +72,7 @@ def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
     min_eig = eig_hermitian(m)[0][0]
     if min_eig < -DEFAULT_TOL:
         raise ValueError(f"not PSD, min eigenvalue {min_eig:.4g}")
-    return DensityMatrix(matrix=m, dims=(da, db))
+    return rho
 
 
 def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
@@ -270,14 +286,9 @@ def state_from_json(text: str) -> DensityMatrix:
     except (ValueError, RecursionError) as exc:  # also integer literals too long to convert, and deep nesting
         raise ValueError(f"malformed state document: {exc}") from exc
     try:
-        da, db = doc["dims"]
-        # JSON integers only: no floats to truncate, no bools, nothing below 1
-        if not all(type(d) is int and d > 0 for d in (da, db)):
-            raise ValueError(f"dims must be two positive integers, got {doc['dims']!r}")
+        dims = _checked_dims(doc["dims"])
         rows = doc["matrix"]
         m = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != da * db:
-        raise ValueError(f"dims [{da},{db}] inconsistent with a {m.shape} matrix")
-    return validate_state(m, (da, db))
+    return validate_state(m, dims)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from entgeo.projection import PPT_EIG_TOL, PSD_REPORT_TOL
+from entgeo.linalg import DEFAULT_TOL
+from entgeo.projection import PPT_EIG_TOL
 from entgeo.states import DensityMatrix
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,15 @@ def closest_pt_state(rho: DensityMatrix, subsystem: str = "B") -> ProjectionResu
         kept_indices=kept,
         distance_exact=float(np.linalg.norm(rho.matrix - rho_s_mat)),
         distance_closed_form=distance_closed_form(d, kept),
-        rho_s_is_positive=is_psd(rho_s_mat, PSD_REPORT_TOL),
+        rho_s_is_positive=is_psd(rho_s_mat, DEFAULT_TOL),
         d_min=float(d[0]),
     )
 
 
-def general_negativity(rho: DensityMatrix) -> float:
+def negativity(rho: DensityMatrix) -> float:
+    """||rho^PT||_1 - 1: twice the sum of the |negative PT eigenvalues|, in ascending order."""
     d, _ = eig_hermitian(partial_transpose(rho, "B"))
-    return float(-d[d < 0].sum())
+    return 2.0 * sum(-x for x in d.tolist() if x < 0)
 
 
 def stats_lines(samples: int, seed: int, dims: tuple[int, int]) -> list[str]:
@@ -158,7 +158,7 @@ def stats_lines(samples: int, seed: int, dims: tuple[int, int]) -> list[str]:
         if res.d_min >= -PPT_EIG_TOL:
             continue
         npt += 1
-        neg_sum += 2.0 * -res.d_min if n == 4 else general_negativity(rho)
+        neg_sum += negativity(rho)
         if res.rho_s_is_positive:
             positive += 1
         if res.rank == 2:

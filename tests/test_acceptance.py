@@ -73,7 +73,7 @@ def test_criterion_2_bell_golden(bell_rho_s):
     bell = make_named("bell_psi_plus")
     res = closest_pt_state(bell)
     distance = res.distance_exact[0]
-    negativity = pt_negativity(res.d[0], bell.dims)
+    negativity = pt_negativity(res.d[0])
     robustness = pt_robustness(res.d[0])
     ok = (
         np.max(np.abs(res.rho_s[0] - bell_rho_s)) <= 1e-10

@@ -153,7 +153,7 @@ class TestProject:
         assert np.allclose(d, eig_hermitian(partial_transpose(m, rho.dims))[0], rtol=0, atol=1e-14)
         assert report["subsystem"] == "B"
         assert d[0] == report["d_min"]
-        assert report["negativity"] == pt_negativity(d, tuple(report["dims"]))
+        assert report["negativity"] == pt_negativity(d)
         assert report["robustness"] == pt_robustness(d)
 
     @pytest.mark.parametrize("state", ["w", "hs-3x3"])
@@ -193,8 +193,7 @@ class TestProject:
         assert report["rho_s_is_positive"] == want.rho_s_is_positive
 
     def test_ppt_negativity_is_positive_zero(self, tmp_path, capsys):
-        # dims 2x4 take the sum convention: a PPT state has no negative PT
-        # eigenvalue, and the empty sum is +0
+        # a PPT state of dims 2x4 reads +0, as every PPT state does
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "project", "--state", "max_mixed(8)", "--json", str(out_path))
         assert code == 0

@@ -192,7 +192,9 @@ class TestScanPlane:
         g = ff1_grid
         assert np.array_equal(g.is_state, g.min_eig >= -1e-10)
         assert np.array_equal(g.is_ppt, g.is_state & (g.min_eig_pt >= -1e-10))
-        assert np.allclose(g.negativity, 2 * np.maximum(0, -g.min_eig_pt))
+        # a two-qubit state has at most one negative PT eigenvalue, so N = 2|min_eig_pt| there
+        state = g.is_state
+        assert np.allclose(g.negativity[state], 2 * np.maximum(0, -g.min_eig_pt[state]))
 
     def test_werner_ppt_crossing(self, ff1_grid):
         # along b = 0 the PPT flip happens exactly where negativity reaches 0,
@@ -437,7 +439,7 @@ class TestReferenceFigures:
         for level in (0.2, 0.5):
             inside = exact_radius(plane, theta, "negativity", level) <= r_state
             _, eigs_pt = spectra("negativity", level)
-            neg = pt_negativity(eigs_pt, plane.dims)
+            neg = pt_negativity(eigs_pt)
             assert np.max(np.abs(neg[inside] - level), initial=0.0) <= 1e-12
             ratio = exact_radius(plane, theta, "negativity", level) / exact_radius(plane, theta, "ppt_boundary")
             assert np.allclose(ratio, 1 + plane.n * level / 2, rtol=1e-14, atol=0)

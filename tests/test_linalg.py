@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgeo import closest_pt_state, eig_hermitian, hs_inner, hs_norm, partial_transpose
+from entgeo import (
+    closest_pt_state,
+    closest_pt_states,
+    eig_hermitian,
+    hs_inner,
+    hs_norm,
+    partial_transpose,
+    sample_hs_random_stack,
+)
 from entgeo.linalg import DEFAULT_TOL, as_matrix, asymmetry
 from entgeo.projection import above_noise_floor
 
@@ -100,6 +108,21 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="asymmetry"):
             eig_hermitian(a)
         assert asymmetry(a) == pytest.approx(np.sqrt(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1j * np.inf], ids=["nan", "inf", "imaginary-inf"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_non_finite_rejected(self, value, stacked):
+        # NaN passed the Hermiticity check and inf warned in the asymmetry norm
+        a = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        a[1, 2, 0] = value
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            eig_hermitian(a if stacked else a[1])
+
+    def test_projection_of_a_nan_stack_is_a_value_error(self):
+        stack = sample_hs_random_stack(4, range(3))
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            closest_pt_states(stack, (2, 2))
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3)])
     def test_non_square_rejected(self, shape):

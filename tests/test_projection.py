@@ -17,8 +17,12 @@ from entgeo import (
     pt_negativity,
     pt_robustness,
     sample_hs_random,
+    sample_hs_random_stack,
+    scan_plane,
+    state_at,
     validate_state,
 )
+from entgeo.cli import resolve_plane
 from entgeo.states import DensityMatrix
 
 import reference_projection as ref
@@ -242,34 +246,58 @@ class TestDistanceClosedForm:
 
 
 class TestNegativity:
-    """The two-qubit negativity 2|d_min|."""
+    """N = ||rho^PT||_1 - 1 = 2 * sum of |negative PT eigenvalues|, for every bipartition."""
 
     def test_bell(self, bell):
-        assert pt_negativity(pt_spectrum(bell), bell.dims) == pytest.approx(1.0, abs=1e-12)
+        assert pt_negativity(pt_spectrum(bell)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_w_state(self, w_state):
+        # Vidal and Werner's negativity, N/2, is the W state's sqrt(2)/3
+        assert pt_negativity(pt_spectrum(w_state)) / 2 == pytest.approx(SQRT2 / 3, abs=1e-12)
 
     def test_max_mixed(self):
-        assert pt_negativity(pt_spectrum(max_mixed(4)), (2, 2)) == 0.0
+        assert pt_negativity(pt_spectrum(max_mixed(4))) == 0.0
+
+    def test_max_mixed_8(self):
+        assert pt_negativity(pt_spectrum(max_mixed(8))) == 0.0
 
     def test_werner_boundary(self, bell):
         t = 2 / 3
         mix = validate_state((1 - t) * bell.matrix + t * np.eye(4) / 4, (2, 2))
-        assert pt_negativity(pt_spectrum(mix), mix.dims) == pytest.approx(0.0, abs=1e-10)
+        assert pt_negativity(pt_spectrum(mix)) == pytest.approx(0.0, abs=1e-10)
         barely = validate_state(0.4 * bell.matrix + 0.6 * np.eye(4) / 4, (2, 2))
-        assert pt_negativity(pt_spectrum(barely), barely.dims) == pytest.approx(2 * (0.4 * 0.5 - 0.15), abs=1e-12)
+        assert pt_negativity(pt_spectrum(barely)) == pytest.approx(2 * (0.4 * 0.5 - 0.15), abs=1e-12)
 
+    def test_is_the_trace_norm_minus_one(self):
+        # the definition, with numpy only: ||M^PT||_1 - 1 for trace-1 Hermitian
+        # M, states or not (ff3 scan cells outside the state body)
+        cases = []
+        for dims in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]:
+            stack = sample_hs_random_stack(dims[0] * dims[1], range(40))
+            cases.append((stack, dims, pt_negativity(eig_hermitian(partial_transpose(stack, dims))[0])))
+        for rho in (make_named("w_state"), make_named("bell_psi_plus")):
+            cases.append((rho.matrix[None], rho.dims, pt_negativity(pt_spectrum(rho))))
+        grid = scan_plane(resolve_plane("ff3"), (-0.9, 0.9, 101), (-0.9, 0.9, 101))
+        outside = ~grid.is_state
+        cells = state_at(grid.plane, *np.meshgrid(grid.a_values, grid.b_values, indexing="ij"))[outside]
+        cases.append((cells, (2, 2), grid.negativity[outside]))
+        most_negative = 0
+        for stack, (da, db), got in cases:
+            pt = stack.reshape(-1, da, db, da, db).transpose(0, 1, 4, 3, 2).reshape(-1, da * db, da * db)
+            assert np.max(np.abs(got - (np.linalg.norm(pt, "nuc", axis=(-2, -1)) - 1))) <= 1e-12
+            most_negative = max(most_negative, (np.linalg.eigvalsh(pt) < -1e-10).sum(axis=-1).max())
+        # more than one negative eigenvalue: N is not 2|d_min| here
+        assert most_negative >= 2
 
-class TestGeneralNegativity:
-    """Vidal and Werner's sum of |negative PT eigenvalues|, for any bipartition."""
-
-    def test_w_state(self, w_state):
-        assert pt_negativity(pt_spectrum(w_state), w_state.dims) == pytest.approx(SQRT2 / 3, abs=1e-12)
-
-    def test_max_mixed_8(self):
-        assert pt_negativity(pt_spectrum(max_mixed(8)), (2, 4)) == 0.0
-
-    def test_bell_matches_half_negativity(self, bell):
-        d = pt_spectrum(bell)
-        assert pt_negativity(d) == pytest.approx(pt_negativity(d, bell.dims) / 2, abs=1e-12)
+    def test_noise_floor(self):
+        # at or above -PPT_EIG_TOL the least eigenvalue reads +0, whatever the
+        # dims; below it every negative eigenvalue counts
+        for n in (4, 6, 8, 9, 12, 16):
+            pad = [1.0 / n] * (n - 2)
+            d = np.array([[-2e-10, -5e-11] + pad, [-1e-10, 0.0] + pad, [-5e-11, -1e-11] + pad, [0.0, 0.0] + pad])
+            neg = pt_negativity(d)
+            assert neg.tolist() == [2 * (2e-10 + 5e-11), 0.0, 0.0, 0.0]
+            assert not np.signbit(neg).any()
 
 
 class TestSpectralMeasures:
@@ -283,16 +311,13 @@ class TestSpectralMeasures:
         # drops positive eigenvalues
         x = np.random.default_rng(n).normal(size=(200, n))
         d = np.concatenate([hs, np.sort(x - x.mean(axis=1, keepdims=True) + 1.0 / n, axis=1)])
-        neg = pt_negativity(d, dims)
-        neg_sum = pt_negativity(d)
+        neg = pt_negativity(d)
         robustness = pt_robustness(d)
         distance = distance_closed_form(d, project_simplex_psd(d)[2])
         dropped_positive = 0
         for i, row in enumerate(d):
             npt = row[0] < -1e-10
-            assert neg_sum[i] == -row[row < 0].sum()
-            if dims == (2, 2):
-                assert neg[i] == (-2.0 * row[0] if npt else 0.0)
+            assert neg[i] == (2.0 * sum(-x for x in row if x < 0) if npt else 0.0)
             want = -row[0] / (-row[0] + 1.0 / n) if npt else 0.0
             assert pt_robustness(row) == want
             assert robustness[i] == want
@@ -301,15 +326,6 @@ class TestSpectralMeasures:
             assert distance[i] == ref.distance_closed_form(row, kept)
             assert distance_closed_form(row, np.isin(np.arange(n), kept)) == distance[i]
         assert dropped_positive > 0
-
-    def test_two_qubit_ppt_floor(self):
-        d = np.array([[-2e-10, 0.3, 0.3, 0.4], [-5e-11, 0.3, 0.3, 0.4], [0.0, 0.25, 0.25, 0.5]])
-        neg = pt_negativity(d, (2, 2))
-        assert neg.tolist() == [4e-10, 0.0, 0.0]
-        assert not np.signbit(neg).any()
-        # the sum convention has no floor, and a PPT spectrum reads +0
-        assert pt_negativity(d).tolist() == [2e-10, 5e-11, 0.0]
-        assert not np.signbit(pt_negativity(d)).any()
 
 
 def robustness_bisection_oracle(rho, tol=1e-12):

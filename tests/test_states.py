@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from entgeo import (
     state_to_json,
     validate_state,
 )
-from entgeo.states import MAX_DIM, state_to_dict
+from entgeo.states import MAX_DIM, DensityMatrix, state_to_dict
 
 random_state = st.builds(
     lambda seed, n: sample_hs_random(n, seed), st.integers(0, 2**32 - 1), st.sampled_from([4, 6, 8])
@@ -190,6 +191,23 @@ class TestSamplerContract:
 class TestValidateState:
     def test_max_mixed_ok(self):
         validate_state(np.eye(4) / 4, (2, 2))
+
+    @pytest.mark.parametrize(
+        "m, dims",
+        [(np.eye(4) / 4, (-2, -2)), (np.zeros((0, 0)), (0, 5)), (np.eye(4) / 4, (2.0, 2)), (np.eye(4) / 4, (True, 4))],
+        ids=["negative", "zero", "float", "bool"],
+    )
+    def test_dims_must_be_positive_integers(self, m, dims):
+        with pytest.raises(ValueError, match=re.escape(f"dims must be two positive integers, got {dims!r}")):
+            validate_state(m, dims)
+
+    def test_sampled_state_dims_must_fit(self):
+        with pytest.raises(ValueError, match=re.escape("dims (3, 3) inconsistent with a (4, 4) matrix")):
+            sample_hs_random(4, 1, dims=(3, 3))
+
+    def test_dims_are_python_ints(self):
+        rho = DensityMatrix(np.eye(6) / 6, np.array([2, 3]))
+        assert rho.dims == (2, 3) and all(type(d) is int for d in rho.dims)
 
     def test_w_pt_not_psd(self, w_pt):
         with pytest.raises(ValueError, match=r"not PSD, min eigenvalue -0.471"):
