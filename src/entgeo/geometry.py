@@ -148,11 +148,6 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
 # ---------------------------------------------------------------------------
 # Marching squares
 
-# Crossings closer than this many decimals are one node: they meet when a
-# contour passes through a grid node, where the two cells' interpolations
-# differ only by rounding.
-_NODE_DECIMALS = 9
-
 # For each non-saddle case code, the two edges whose corners differ in sign
 # (edge k joins corner k and corner (k+1) % 4), lowest edge first. Cases 0
 # and 15 cross no edge and are never looked up.
@@ -168,14 +163,19 @@ _CASE_EDGES = np.array(
 def _marching_squares(a_values, b_values, f):
     """Zero-level polylines of a scalar field sampled on a rectangular grid.
 
-    Corner signs pick one of 16 cases; crossings are placed by linear
-    interpolation along cell edges; the two saddle cases are disambiguated by
-    the cell-center average. Segments are chained into ordered polylines.
-    Only the cells the contour crosses are visited, in row-major order.
+    Corner signs pick one of 16 cases; the two saddle cases are disambiguated
+    by the cell-center average. Each crossed grid edge gets one crossing,
+    interpolated linearly from its lower grid node, so the two cells sharing
+    an edge share its point bitwise. Nodes are integers: grid node (i, j) is
+    i * nb + j, and a crossing at t = 0 or 1 is that grid node, at its exact
+    (a, b); any other crossing is f.size + 2 * (lower node) + axis. Segments
+    are chained into ordered polylines. Only the cells the contour crosses are
+    visited, in row-major order.
     """
     a_values = np.asarray(a_values, dtype=float)
     b_values = np.asarray(b_values, dtype=float)
     f = np.asarray(f, dtype=float)
+    nb = f.shape[1]
     # corner k of cell (i, j): (i, j), (i+1, j), (i+1, j+1), (i, j+1)
     corners = (f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:])
     case = sum((c >= 0).astype(np.intp) << k for k, c in enumerate(corners))
@@ -184,21 +184,6 @@ def _marching_squares(a_values, b_values, f):
         return []
     case = case[ii, jj]
     vals = [c[ii, jj] for c in corners]
-    xs = (a_values[ii], a_values[ii + 1], a_values[ii + 1], a_values[ii])
-    ys = (b_values[jj], b_values[jj], b_values[jj + 1], b_values[jj + 1])
-
-    # crossing point on every edge of every active cell; only the edges whose
-    # ends differ in sign are used below
-    points = np.empty((4, len(ii), 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(4):
-            k1 = (k + 1) % 4
-            t = vals[k] / (vals[k] - vals[k1])
-            points[k, :, 0] = xs[k] + t * (xs[k1] - xs[k])
-            points[k, :, 1] = ys[k] + t * (ys[k1] - ys[k])
-    # numpy's rounding of float64, not Python's round() of floats: the two
-    # disagree on near-ties, which would change which crossings are joined
-    keys = np.round(points, _NODE_DECIMALS)
 
     # up to two segments per cell, as (edge, edge) pairs
     edges = np.zeros((len(ii), 2, 2), dtype=np.intp)
@@ -214,61 +199,67 @@ def _marching_squares(a_values, b_values, f):
     present[:, 0] = True
     present[:, 1] = saddle
 
-    cell = np.arange(len(ii))[:, None, None]
-    seg_keys = keys[edges, cell]  # (cells, 2 slots, 2 ends, 2 coords)
-    # crossings on a shared grid node degenerate
-    present &= np.any(seg_keys[:, :, 0] != seg_keys[:, :, 1], axis=-1)
-    return _chain_segments(points[edges, cell][present], seg_keys[present])
+    # edge k of cell (i, j) as 2 * (lower node) + axis, with lower nodes
+    # (i, j), (i+1, j), (i, j+1), (i, j) and axes 0, 1, 0, 1
+    cell = np.nonzero(present)[0]
+    offsets = np.array([0, 2 * nb + 1, 2, 1])
+    seg_edges = 2 * (ii[cell] * nb + jj[cell])[:, None] + offsets[edges[present]]
+    edge_ids, inverse = np.unique(seg_edges.ravel(), return_inverse=True)
+    lower, axis = np.divmod(edge_ids, 2)
+    upper = lower + np.where(axis == 0, nb, 1)
+    flat = f.ravel()
+    t = flat[lower] / (flat[lower] - flat[upper])
+    nodes = np.where(t == 0, lower, np.where(t == 1, upper, f.size + edge_ids))
+    p_lower = np.stack([a_values[lower // nb], b_values[lower % nb]], axis=1)
+    p_upper = np.stack([a_values[upper // nb], b_values[upper % nb]], axis=1)
+    points = np.where((t == 1)[:, None], p_upper, p_lower + t[:, None] * (p_upper - p_lower))
+
+    seg_nodes = nodes[inverse].reshape(-1, 2)
+    # both ends on one grid node: a degenerate segment
+    keep = seg_nodes[:, 0] != seg_nodes[:, 1]
+    return _chain_segments(points[inverse].reshape(-1, 2, 2)[keep], seg_nodes[keep])
 
 
-def _chain_segments(ends, keys):
+def _chain_segments(ends, nodes):
     """Join shared-endpoint segments into polylines (closed loops or open arcs).
 
-    ends[s] holds the two endpoints of segment s and keys[s] the same points
-    rounded to _NODE_DECIMALS; endpoints with equal keys are joined.
+    ends[s] holds the two endpoint coordinates of segment s and nodes[s] their
+    integer node ids; endpoints with equal ids are joined.
     """
     if len(ends) == 0:
         return []
     ends = ends.tolist()
-    keys = [tuple(map(tuple, k)) for k in keys.tolist()]
-    adjacency: dict[tuple, list] = {}
-    for idx, (kp, kq) in enumerate(keys):
-        adjacency.setdefault(kp, []).append((idx, 1))
-        adjacency.setdefault(kq, []).append((idx, 0))
+    nodes = nodes.tolist()
+    adjacency: dict[int, list] = {}
+    for idx, (p, q) in enumerate(nodes):
+        adjacency.setdefault(p, []).append((idx, 1))
+        adjacency.setdefault(q, []).append((idx, 0))
 
     used = [False] * len(ends)
     polylines = []
 
-    def walk(start_pt, start_key):
-        line = [start_pt]
-        cur = start_key
+    def walk(line, cur):
         while True:
-            nxt = None
-            for idx, end in adjacency.get(cur, ()):
+            for idx, end in adjacency[cur]:
                 if not used[idx]:
                     used[idx] = True
-                    nxt = idx, end
+                    line.append(ends[idx][end])
+                    cur = nodes[idx][end]
                     break
-            if nxt is None:
+            else:
                 return line
-            line.append(ends[nxt[0]][nxt[1]])
-            cur = keys[nxt[0]][nxt[1]]
 
-    # open chains first: start from endpoints of odd degree, at the rounded
-    # node itself
-    endpoints = [p for p, links in adjacency.items() if len(links) % 2 == 1]
-    for ep in endpoints:
-        if any(not used[idx] for idx, _ in adjacency[ep]):
-            polylines.append(walk(ep, tuple(np.round(ep, _NODE_DECIMALS).tolist())))
+    # open chains first: start from nodes of odd degree, at the node's point
+    for node, links in adjacency.items():
+        if len(links) % 2 == 1 and any(not used[idx] for idx, _ in links):
+            idx, end = links[0]
+            polylines.append(walk([ends[idx][1 - end]], node))
     # remaining are closed loops
     for idx, (p, q) in enumerate(ends):
         if not used[idx]:
             used[idx] = True
-            line = [p, q]
-            rest = walk(q, keys[idx][1])
-            line.extend(rest[1:])
-            polylines.append(line)
-    return [np.array(line) for line in polylines if len(line) >= 2]
+            polylines.append(walk([p, q], nodes[idx][1]))
+    return [np.array(line) for line in polylines]
 
 
 def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):

@@ -62,4 +62,7 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = asymmetry(a).max(initial=0.0)
     if asym > DEFAULT_TOL:
         raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > tol {DEFAULT_TOL:.3e}")
-    return np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
+    # halve before adding: A + A^dagger overflows for entries near 1e308
+    half = a / 2
+    half += half.conj().swapaxes(-1, -2)
+    return np.linalg.eigh(half)

@@ -15,8 +15,7 @@ noise floor of the one predicate :func:`above_noise_floor`: a least eigenvalue
 >= -1e-10 counts as PSD, for PT spectra (PPT; the negativity and the
 robustness read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). Contour
 points whose interpolated least eigenvalue is >= -``STATE_BODY_SLACK`` (1e-6)
-are in the state body; crossings equal to ``geometry._NODE_DECIMALS`` (9)
-decimals are one node.
+are in the state body.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 """Per-cell reference implementations of the contour and CSV export code.
 
-These are the original loop versions of ``entgeo.geometry``'s marching
-squares, segment chaining, state-body restriction and grid CSV export, kept
-unchanged as a test oracle: the vectorised library code must reproduce their
-output exactly (same polylines in the same order, same bytes).
+These are loop versions of ``entgeo.geometry``'s marching squares, segment
+chaining, state-body restriction and grid CSV export, one cell or one row at
+a time, used as a test oracle: the vectorised library code must reproduce
+their output exactly (same polylines in the same order, same bytes). A
+contour crossing is named ``("node", (i, j))`` when it falls on grid node
+(i, j) (t = 0 or 1) and ``("edge", lower, axis)`` otherwise; it is
+interpolated from the lower end of its grid edge, so both cells on an edge
+compute the same point.
 """
 
 from __future__ import annotations
@@ -17,47 +21,41 @@ def _marching_squares(a_values, b_values, f):
     """Zero-level polylines of a scalar field sampled on a rectangular grid.
 
     Corner signs pick one of 16 cases; crossings are placed by linear
-    interpolation along cell edges; the two saddle cases are disambiguated by
+    interpolation along grid edges; the two saddle cases are disambiguated by
     the cell-center average. Segments are chained into ordered polylines.
     """
     na, nb = f.shape
     segments = []
 
-    def same_node(p, q, decimals=9):
-        return round(p[0], decimals) == round(q[0], decimals) and round(
-            p[1], decimals
-        ) == round(q[1], decimals)
-
-    def interp(p0, p1, f0, f1):
-        t = f0 / (f0 - f1)
-        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+    def crossing(lower, upper):
+        """(name, point) of the crossing on the grid edge from lower to upper."""
+        p0 = (a_values[lower[0]], b_values[lower[1]])
+        p1 = (a_values[upper[0]], b_values[upper[1]])
+        t = f[lower] / (f[lower] - f[upper])
+        if t == 0:
+            return ("node", lower), p0
+        if t == 1:
+            return ("node", upper), p1
+        axis = 0 if lower[1] == upper[1] else 1
+        return ("edge", lower, axis), (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
     for i in range(na - 1):
         for j in range(nb - 1):
-            corners = (
-                (a_values[i], b_values[j], f[i, j]),
-                (a_values[i + 1], b_values[j], f[i + 1, j]),
-                (a_values[i + 1], b_values[j + 1], f[i + 1, j + 1]),
-                (a_values[i], b_values[j + 1], f[i, j + 1]),
-            )
-            vals = [c[2] for c in corners]
+            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            vals = [f[c] for c in corners]
             case = sum(1 << k for k, v in enumerate(vals) if v >= 0)
             if case in (0, 15):
                 continue
             # edge k joins corner k and corner (k+1) % 4
             crossings = {}
             for k in range(4):
-                f0, f1 = vals[k], vals[(k + 1) % 4]
-                if (f0 >= 0) != (f1 >= 0):
-                    p0 = corners[k][:2]
-                    p1 = corners[(k + 1) % 4][:2]
-                    crossings[k] = interp(p0, p1, f0, f1)
+                c0, c1 = corners[k], corners[(k + 1) % 4]
+                if (f[c0] >= 0) != (f[c1] >= 0):
+                    crossings[k] = crossing(*sorted((c0, c1)))
             edges = sorted(crossings)
             if len(edges) == 2:
-                p, q = crossings[edges[0]], crossings[edges[1]]
-                if not same_node(p, q):  # crossings on a shared grid node degenerate
-                    segments.append((p, q))
-            elif len(edges) == 4:
+                pairs = [(edges[0], edges[1])]
+            else:
                 center_pos = sum(vals) / 4 >= 0
                 # pair crossings so the positive region stays connected iff the
                 # center sample is positive
@@ -65,42 +63,46 @@ def _marching_squares(a_values, b_values, f):
                     pairs = [(0, 1), (2, 3)]
                 else:
                     pairs = [(0, 3), (1, 2)]
-                for e0, e1 in pairs:
-                    if not same_node(crossings[e0], crossings[e1]):
-                        segments.append((crossings[e0], crossings[e1]))
+            for e0, e1 in pairs:
+                p, q = crossings[e0], crossings[e1]
+                if p[0] != q[0]:  # both crossings on one grid node degenerate
+                    segments.append((p, q))
     return _chain_segments(segments)
 
 
-def _chain_segments(segments, decimals=9):
-    """Join shared-endpoint segments into polylines (closed loops or open arcs)."""
+def _chain_segments(segments):
+    """Join shared-endpoint segments into polylines (closed loops or open arcs).
+
+    Each segment is a pair of (name, point) ends; ends with equal names are joined.
+    """
     if not segments:
         return []
-    key = lambda p: (round(p[0], decimals), round(p[1], decimals))
+    point = {name: pt for segment in segments for name, pt in segment}
     adjacency: dict[tuple, list] = {}
     for idx, (p, q) in enumerate(segments):
-        adjacency.setdefault(key(p), []).append((idx, q))
-        adjacency.setdefault(key(q), []).append((idx, p))
+        adjacency.setdefault(p[0], []).append((idx, q[0]))
+        adjacency.setdefault(q[0], []).append((idx, p[0]))
 
     used = [False] * len(segments)
     polylines = []
 
-    def walk(start_pt):
-        line = [start_pt]
-        cur = start_pt
+    def walk(start):
+        line = [point[start]]
+        cur = start
         while True:
             nxt = None
-            for idx, other in adjacency.get(key(cur), ()):
+            for idx, other in adjacency[cur]:
                 if not used[idx]:
                     used[idx] = True
                     nxt = other
                     break
             if nxt is None:
                 return line
-            line.append(nxt)
+            line.append(point[nxt])
             cur = nxt
 
     # open chains first: start from endpoints of odd degree
-    endpoints = [p for p, links in adjacency.items() if len(links) % 2 == 1]
+    endpoints = [name for name, links in adjacency.items() if len(links) % 2 == 1]
     for ep in endpoints:
         if any(not used[idx] for idx, _ in adjacency[ep]):
             polylines.append(walk(ep))
@@ -108,11 +110,10 @@ def _chain_segments(segments, decimals=9):
     for idx, (p, q) in enumerate(segments):
         if not used[idx]:
             used[idx] = True
-            line = [p, q]
-            rest = walk(q)
-            line.extend(rest[1:])
+            line = [p[1]]
+            line.extend(walk(q[0]))
             polylines.append(line)
-    return [np.array(line) for line in polylines if len(line) >= 2]
+    return [np.array(line) for line in polylines]
 
 
 def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):

@@ -308,6 +308,20 @@ class TestMarchingSquares:
         f = np.ones((11, 11))
         assert _marching_squares(xs, xs, f) == []
 
+    def test_transpose_gives_the_same_nodes(self):
+        # a crossing is interpolated from its grid edge's lower node, which
+        # transposing keeps, so the nodes agree bitwise with a and b swapped
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            shape = tuple(rng.integers(2, 10, size=2))
+            # half-integers put exact zeros on grid nodes
+            f = np.where(rng.random(shape) < 0.3, rng.integers(-2, 3, shape) / 2, rng.standard_normal(shape))
+            a_values = np.linspace(0.0, 1.0, shape[0])
+            b_values = np.linspace(-0.5, 0.7, shape[1])
+            nodes = {(a, b) for line in _marching_squares(a_values, b_values, f) for a, b in line.tolist()}
+            swapped = {(a, b) for line in _marching_squares(b_values, a_values, f.T) for b, a in line.tolist()}
+            assert nodes == swapped
+
     def test_saddle_resolved_by_center(self):
         xs = np.array([0.0, 1.0])
         f = np.array([[1.0, -1.0], [-1.0, 3.0]])  # center mean = 0.5 >= 0

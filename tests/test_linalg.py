@@ -144,6 +144,10 @@ class TestEigHermitian:
         w, _ = eig_hermitian(a)
         assert hs_norm(a) ** 2 == pytest.approx(np.sum(w**2), abs=1e-9)
 
+    def test_largest_finite_entries(self):
+        w, _ = eig_hermitian(np.diag([1e308, 1e308]))
+        assert w.tolist() == [1e308, 1e308]
+
     def test_deterministic_bitwise(self, w_pt):
         d1 = eig_hermitian(w_pt)[0]
         d2 = eig_hermitian(w_pt)[0]

@@ -64,6 +64,10 @@ def fields(draw):
 @example(np.array([[-1.0, 1.0], [1.0, -3.0]]))  # case 10, center negative
 @example(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # saddle through two zero nodes
 @example(np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, -1.0], [1.0, 0.0, 0.0]]))
+@example(np.array([[1.0, -2.0], [1.0, -2.0]]))  # open arc starting at t = 1/3, a full-precision crossing
+# the crossing at t = 1e-300 rounds onto grid node (1, 0), the other crossing,
+# but keeps its edge id: a zero-length segment is written
+@example(np.array([[-1.0, -1.0], [1e-300, -1.0]]))
 def test_marching_squares_random_fields(f):
     a_values = np.linspace(0.0, 1.0, f.shape[0])
     b_values = np.linspace(-0.5, 0.7, f.shape[1])
