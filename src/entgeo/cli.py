@@ -141,6 +141,10 @@ def cmd_project(args) -> int:
 # own, so the block size changes no printed value.
 _STATS_BLOCK = 512
 
+# Upper bound on --samples: two qubits run at about 5 * 10^4 states/s, so a
+# run at the cap takes minutes, and a count like 2^64 would never finish.
+MAX_SAMPLES = 10**7
+
 # Two-qubit NPT probability under the Hilbert-Schmidt measure: the PPT (here
 # separable) probability is 8/33 (Milz & Strunz, J. Phys. A 48, 035306, 2015).
 HS_NPT_FRACTION_2X2 = 1.0 - 8.0 / 33.0
@@ -245,13 +249,15 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return da, db
 
 
-def _positive_int(text: str) -> int:
+def _sample_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {text!r}")
     return value
 
 
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write a machine-readable report here")
 
     p = sub.add_parser("stats", help="Monte-Carlo statistics over random states")
-    p.add_argument("--samples", type=_positive_int, default=10000)
+    p.add_argument("--samples", type=_sample_count, default=10000, help=f"states to draw, 1 to {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--dims", type=_parse_dims, default=(2, 2))
 

@@ -249,6 +249,9 @@ class TestStats:
             (["--dims", "2by2"], "--dims: dims must look like 2x2"),
             (["--dims", "25x41"], "--dims: dims need dA, dB >= 1 and dA*dB <= 1024, got '25x41'"),
             (["--dims", "0x2"], "--dims: dims need dA, dB >= 1 and dA*dB <= 1024, got '0x2'"),
+            # a count this large would keep the sampler busy for ever
+            (["--samples", "18446744073709551616"], "--samples: must be at most 10000000, got '18446744073709551616'"),
+            (["--samples", "10000001"], "--samples: must be at most 10000000, got '10000001'"),
         ],
     )
     def test_bad_argument_exits_2_before_sampling(self, capsys, monkeypatch, argv, message):
@@ -257,6 +260,9 @@ class TestStats:
             main(["stats", *argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_samples_cap_is_inclusive(self):
+        assert cli._sample_count("10000000") == cli.MAX_SAMPLES
 
     def test_dims_cap_is_inclusive(self):
         assert cli._parse_dims("32x32") == (32, 32)
