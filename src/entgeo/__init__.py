@@ -5,20 +5,17 @@ negativity and robustness measures derived from the PT spectrum, and 2-D
 slices of the two-qubit state body scanned as data grids.
 """
 
-from .linalg import eig_hermitian, hs_inner, hs_norm
+from .linalg import eig_hermitian
 from .states import (
     DensityMatrix,
     make_named,
     max_mixed,
     partial_transpose,
-    sample_hs_random,
     sample_hs_random_stack,
     state_from_json,
-    state_to_json,
     validate_state,
 )
 from .projection import (
-    closest_pt_state,
     closest_pt_states,
     distance_closed_form,
     project_simplex_psd,
@@ -38,18 +35,13 @@ from .geometry import (
 
 __all__ = [
     "eig_hermitian",
-    "hs_inner",
-    "hs_norm",
     "DensityMatrix",
     "make_named",
     "max_mixed",
     "partial_transpose",
-    "sample_hs_random",
     "sample_hs_random_stack",
     "state_from_json",
-    "state_to_json",
     "validate_state",
-    "closest_pt_state",
     "closest_pt_states",
     "distance_closed_form",
     "project_simplex_psd",

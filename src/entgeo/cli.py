@@ -86,14 +86,14 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_project(args) -> int:
     rho = _resolve_state(args.state)
-    res = projection.closest_pt_state(rho)
+    res = projection.closest_pt_states(rho.matrix[None], rho.dims)
     d = res.d[0]
     neg = float(projection.pt_negativity(d))
     robustness = float(projection.pt_robustness(d))
     spectrum, e_squared = d.tolist(), np.sort(res.e2[0])[::-1].tolist()
     lam = float(res.lam[0])
     kept_indices = np.flatnonzero(res.kept[0]).tolist()
-    distance_exact = float(res.distance_exact[0])
+    distance_exact = float(np.linalg.norm(rho.matrix - res.rho_s[0]))
     distance_closed_form = float(projection.distance_closed_form(res.d, res.kept)[0])
     is_positive = bool(res.rho_s_is_positive[0])
     # positive only by grace of the tolerance: min eigenvalue in [-1e-9, 0)
@@ -166,7 +166,7 @@ def cmd_stats(args) -> int:
         d, u = linalg.eig_hermitian(states.partial_transpose(rhos, (da, db)))
         # only the NPT states go on to the projection
         is_npt = ~projection.above_noise_floor(d[:, 0])
-        res = projection.project_pt_spectra(rhos[is_npt], d[is_npt], u[is_npt], (da, db))
+        res = projection.project_pt_spectra(d[is_npt], u[is_npt], (da, db))
         # one at a time in seed order, so the sum rounds as a per-state loop's would
         for value in projection.pt_negativity(res.d).tolist():
             neg_sum += value
@@ -206,9 +206,8 @@ def resolve_plane(spec: str) -> geometry.Plane:
     m = re.fullmatch(r"random:(\d+)", spec)
     if m:
         seed = int(m.group(1))
-        rho1 = states.sample_hs_random(4, seed, dims=(2, 2))
-        rho2 = states.sample_hs_random(4, seed + 1, dims=(2, 2))
-        return geometry.build_plane(rho1, rho2)
+        rho1, rho2 = states.sample_hs_random_stack(4, [seed, seed + 1])
+        return geometry.build_plane(states.DensityMatrix(rho1, (2, 2)), states.DensityMatrix(rho2, (2, 2)))
     if "," in spec:
         p1, p2 = spec.split(",", 1)
         return geometry.build_plane(_resolve_state(p1), _resolve_state(p2))

@@ -15,7 +15,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .linalg import hs_inner, hs_norm
 from .projection import STATE_BODY_SLACK, above_noise_floor, pt_negativity
 from .states import DensityMatrix, partial_transpose
 
@@ -61,13 +60,14 @@ def build_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> Plane:
     n = rho1.dim
     center = np.eye(n) / n
     v1 = rho1.matrix - center
-    norm1 = hs_norm(v1)
+    norm1 = np.linalg.norm(v1)
     if norm1 < 1e-12:
         raise ValueError("first anchor coincides with the maximally mixed state")
     a1 = v1 / norm1
     v2 = rho2.matrix - center
-    v2 = v2 - hs_inner(a1, v2) * a1
-    norm2 = hs_norm(v2)
+    # tr(A1^dagger v2) written out: np.vdot sums in another order, off in the last bit
+    v2 = v2 - np.trace(a1.conj().T @ v2) * a1
+    norm2 = np.linalg.norm(v2)
     if norm2 < 1e-12:
         raise ValueError("anchors are linearly dependent around I/n (degenerate plane)")
     a2 = v2 / norm2
@@ -164,7 +164,7 @@ def _marching_squares(a_values, b_values, f):
     """Zero-level polylines of a scalar field sampled on a rectangular grid.
 
     Corner signs pick one of 16 cases; the two saddle cases are disambiguated
-    by the cell-center average. Each crossed grid edge gets one crossing,
+    by the sign of the corner sum. Each crossed grid edge gets one crossing,
     interpolated linearly from its lower grid node, so the two cells sharing
     an edge share its point bitwise. Nodes are integers: grid node (i, j) is
     i * nb + j, and a crossing at t = 0 or 1 is that grid node, at its exact
@@ -189,7 +189,8 @@ def _marching_squares(a_values, b_values, f):
     edges = np.zeros((len(ii), 2, 2), dtype=np.intp)
     edges[:, 0] = _CASE_EDGES[case]
     saddle = (case == 5) | (case == 10)
-    center_pos = (((vals[0] + vals[1]) + vals[2]) + vals[3]) / 4 >= 0
+    # opposite corners summed first: the same sum for every rotation and flip of the cell
+    center_pos = (vals[0] + vals[2]) + (vals[1] + vals[3]) >= 0
     # pair crossings so the positive region stays connected iff the center
     # sample is positive
     joined = (case == 5) == center_pos

@@ -1,4 +1,4 @@
-"""Dense complex-matrix helpers: Hilbert-Schmidt geometry and Hermitian eigensolving.
+"""Dense complex-matrix helpers: the Hermiticity residual and Hermitian eigensolving.
 
 Matrices are plain square ``numpy`` arrays of ``complex128``, or (..., n, n)
 stacks of them where noted; every routine here is a pure function of its
@@ -12,14 +12,6 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 matrix (copies only if needed)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def asymmetry(a: np.ndarray):
     """Hilbert-Schmidt norm of the anti-Hermitian part, ||A - A^dagger||_2.
 
@@ -27,20 +19,6 @@ def asymmetry(a: np.ndarray):
     """
     a = np.asarray(a, dtype=np.complex128)
     return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dagger B)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return complex(np.trace(a.conj().T @ b))
-
-
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(tr A^dagger A)."""
-    return float(np.linalg.norm(as_matrix(a)))
 
 
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

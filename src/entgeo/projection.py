@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, eig_hermitian
-from .states import DensityMatrix, partial_transpose
+from .states import partial_transpose
 
 PPT_EIG_TOL = 1e-10
 STATE_BODY_SLACK = 1e-6
@@ -79,7 +79,7 @@ def distance_closed_form(d, kept):
     n_p the kept count; ``kept`` is the support mask of ``d``'s shape from
     :func:`project_simplex_psd`. Exact whenever every dropped nonnegative
     eigenvalue is zero; for strictly positive ones it omits their quadratic
-    residual and slightly undershoots ``distance_exact``.
+    residual and slightly undershoots ||rho - rho_s||_2.
     """
     d = np.asarray(d, dtype=float)
     kept = np.asarray(kept)
@@ -98,15 +98,14 @@ def distance_closed_form(d, kept):
 class ProjectionBatch:
     """Per-state projection arrays for a stack of states, one row per state.
 
-    ``rho`` is the input stack, ``d`` the ascending PT spectrum, ``e2`` the
-    simplex-projected spectrum in the same eigenbasis order, ``kept`` its
-    support mask, and ``rho_s`` the closest partially transposed states with
-    their min eigenvalues. Each rho_s is trace-1 Hermitian but not necessarily
-    PSD; where ``rho_s_is_positive`` it is the closest PPT state outright,
-    elsewhere ``distance_exact`` is a lower bound on the distance to the PPT set.
+    ``d`` is the ascending PT spectrum, ``e2`` the simplex-projected spectrum
+    in the same eigenbasis order, ``kept`` its support mask, and ``rho_s`` the
+    closest partially transposed states with their min eigenvalues. Each rho_s
+    is trace-1 Hermitian but not necessarily PSD; where ``rho_s_is_positive``
+    it is the closest PPT state outright, elsewhere ||rho - rho_s||_2 is a
+    lower bound on the distance to the PPT set.
     """
 
-    rho: np.ndarray
     d: np.ndarray
     e2: np.ndarray
     lam: np.ndarray
@@ -122,18 +121,9 @@ class ProjectionBatch:
     def rho_s_is_positive(self) -> np.ndarray:
         return self.rho_s_min_eig >= -DEFAULT_TOL
 
-    @property
-    def distance_exact(self) -> np.ndarray:
-        """||rho - rho_s||_2 per row, computed on access.
 
-        One norm per matrix: a norm over the stacked axes sums in another
-        order and differs from it in the last bit.
-        """
-        return np.array([np.linalg.norm(m) for m in self.rho - self.rho_s])
-
-
-def project_pt_spectra(rho: np.ndarray, d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> ProjectionBatch:
-    """Steps 2 and 3 of the projection for a stack of states rho with decomposed partial transposes rho^PT = U D U^dagger.
+def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> ProjectionBatch:
+    """Steps 2 and 3 of the projection for a stack of decomposed partial transposes rho^PT = U D U^dagger.
 
     Simplex-project each PT spectrum d, rebuild sigma* = U E^2 U^dagger from
     the eigenvectors u, map it back through the PT and take the min eigenvalue
@@ -142,7 +132,6 @@ def project_pt_spectra(rho: np.ndarray, d: np.ndarray, u: np.ndarray, dims: tupl
     e2, lam, kept = project_simplex_psd(d)
     rho_s = partial_transpose((u * e2[..., None, :]) @ u.conj().swapaxes(-1, -2), dims)
     return ProjectionBatch(
-        rho=rho,
         d=d,
         e2=e2,
         lam=lam,
@@ -153,18 +142,13 @@ def project_pt_spectra(rho: np.ndarray, d: np.ndarray, u: np.ndarray, dims: tupl
 
 
 def closest_pt_states(rhos, dims: tuple[int, int]) -> ProjectionBatch:
-    """Closest partially transposed states for a (k, n, n) stack of states."""
-    return project_pt_spectra(rhos, *eig_hermitian(partial_transpose(rhos, dims)), dims)
-
-
-def closest_pt_state(rho: DensityMatrix) -> ProjectionBatch:
-    """Project rho^PT onto the trace-1 PSD cone and map back through the PT.
+    """Project each rho^PT of a (k, n, n) stack onto the trace-1 PSD cone and map back through the PT.
 
     Steps: eigendecompose rho^PT = U D U^dagger, simplex-project D into E^2,
-    reconstruct sigma* = U E^2 U^dagger, return rho_s = (sigma*)^PT. The
-    one-state case of :func:`closest_pt_states`: a batch of one row.
+    reconstruct sigma* = U E^2 U^dagger, return rho_s = (sigma*)^PT. One
+    state is the stack ``rho.matrix[None]``, a batch of one row.
     """
-    return closest_pt_states(rho.matrix[None], rho.dims)
+    return project_pt_spectra(*eig_hermitian(partial_transpose(rhos, dims)), dims)
 
 
 def pt_negativity(d):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, asymmetry, eig_hermitian
+from .linalg import DEFAULT_TOL, asymmetry, eig_hermitian
 
 SQRT3 = np.sqrt(3.0)
 
@@ -55,7 +55,7 @@ def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
 
     The first property violated by more than ``DEFAULT_TOL`` is reported with its magnitude.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=np.complex128)
     if not np.isfinite(m).all():
         raise ValueError("state has non-finite entries")
     rho = DensityMatrix(matrix=m, dims=dims)
@@ -136,15 +136,12 @@ NAMED_STATE_TAGS = tuple(_NAMED) + ("max_mixed(n)",)
 MAX_DIM = 1024
 
 
-def _default_dims(n: int) -> tuple[int, int]:
-    return (2, n // 2) if n % 2 == 0 else (1, n)
-
-
 def max_mixed(n: int) -> DensityMatrix:
     """The maximally mixed state I/n for 1 <= n <= MAX_DIM, dims (2, n/2) for even n, else (1, n)."""
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"max_mixed(n) needs 1 <= n <= {MAX_DIM}, got {n}")
-    return DensityMatrix(matrix=np.eye(n, dtype=np.complex128) / n, dims=_default_dims(n))
+    dims = (2, n // 2) if n % 2 == 0 else (1, n)
+    return DensityMatrix(matrix=np.eye(n, dtype=np.complex128) / n, dims=dims)
 
 
 def make_named(name: str) -> DensityMatrix:
@@ -259,24 +256,9 @@ def sample_hs_random_stack(n: int, seeds) -> np.ndarray:
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def sample_hs_random(n: int, rng_seed: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
-    """Hilbert-Schmidt-random state: rho = G G^dagger / tr(G G^dagger), G square Ginibre.
-
-    Deterministic per seed; identical seeds give bitwise-identical matrices,
-    equal to the matching row of :func:`sample_hs_random_stack`.
-    """
-    rho = sample_hs_random_stack(n, [rng_seed])[0]
-    return DensityMatrix(matrix=rho, dims=_default_dims(n) if dims is None else dims)
-
-
 def state_to_dict(rho: DensityMatrix) -> dict:
     """The interchange schema {"dims":[dA,dB],"matrix":[[[re,im],...],...]} as a JSON-ready dict."""
     return {"dims": list(rho.dims), "matrix": np.stack((rho.matrix.real, rho.matrix.imag), axis=-1).tolist()}
-
-
-def state_to_json(rho: DensityMatrix) -> str:
-    """Serialize to the interchange schema of :func:`state_to_dict`."""
-    return json.dumps(state_to_dict(rho))
 
 
 def state_from_json(text: str) -> DensityMatrix:

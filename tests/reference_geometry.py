@@ -22,7 +22,8 @@ def _marching_squares(a_values, b_values, f):
 
     Corner signs pick one of 16 cases; crossings are placed by linear
     interpolation along grid edges; the two saddle cases are disambiguated by
-    the cell-center average. Segments are chained into ordered polylines.
+    the sign of the corner sum, opposite corners added first. Segments are
+    chained into ordered polylines.
     """
     na, nb = f.shape
     segments = []
@@ -56,7 +57,7 @@ def _marching_squares(a_values, b_values, f):
             if len(edges) == 2:
                 pairs = [(edges[0], edges[1])]
             else:
-                center_pos = sum(vals) / 4 >= 0
+                center_pos = (vals[0] + vals[2]) + (vals[1] + vals[3]) >= 0
                 # pair crossings so the positive region stays connected iff the
                 # center sample is positive
                 if (case == 5) == center_pos:

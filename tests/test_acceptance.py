@@ -11,14 +11,12 @@ import pytest
 from entgeo import (
     boundary_contours,
     build_plane,
-    closest_pt_state,
     closest_pt_states,
     make_named,
     partial_transpose,
     project_simplex_psd,
     pt_negativity,
     pt_robustness,
-    sample_hs_random,
     sample_hs_random_stack,
     scan_plane,
     state_at,
@@ -42,9 +40,21 @@ def report(criterion, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def hs_sweep():
-    """Projection of 10^4 seed-pinned HS-random two-qubit states, one row per seed."""
-    return closest_pt_states(sample_hs_random_stack(4, range(N_SAMPLES)), (2, 2))
+def hs_states():
+    """10^4 seed-pinned HS-random two-qubit states, one row per seed."""
+    return sample_hs_random_stack(4, range(N_SAMPLES))
+
+
+@pytest.fixture(scope="module")
+def hs_sweep(hs_states):
+    """Their projections, one row per seed."""
+    return closest_pt_states(hs_states, (2, 2))
+
+
+@pytest.fixture(scope="module")
+def hs_distances(hs_states, hs_sweep):
+    """||rho - rho_s||_2 per seed, one norm per matrix as the project report takes it."""
+    return np.array([np.linalg.norm(m) for m in hs_states - hs_sweep.rho_s])
 
 
 def npt_rows(sweep):
@@ -53,8 +63,9 @@ def npt_rows(sweep):
 
 def test_criterion_1_w_state_golden(w_rho_s, w_pt_spectrum):
     start = time.perf_counter()
-    res = closest_pt_state(make_named("w_state"))
     w = make_named("w_state")
+    res = closest_pt_states(w.matrix[None], w.dims)
+    distance = np.linalg.norm(w.matrix - res.rho_s[0])
     d = np.linalg.eigvalsh(partial_transpose(w.matrix, w.dims))
     e2_expected = np.zeros(8)
     e2_expected[:3] = [2 / 3 - SQRT2 / 9, 2 * SQRT2 / 9, 1 / 3 - SQRT2 / 9]
@@ -63,16 +74,16 @@ def test_criterion_1_w_state_golden(w_rho_s, w_pt_spectrum):
         np.allclose(np.sort(d), w_pt_spectrum, atol=1e-10)
         and np.allclose(np.sort(res.e2[0])[::-1], sorted(e2_expected, reverse=True), atol=1e-10)
         and np.max(np.abs(res.rho_s[0] - w_rho_s)) <= 1e-10
-        and abs(res.distance_exact[0] - 0.5443310539518174) <= 1e-12
+        and abs(distance - 0.5443310539518174) <= 1e-12
         and elapsed < 1.0
     )
-    report(1, ok, f"distance {res.distance_exact[0]:.16f}, runtime {elapsed * 1e3:.1f} ms")
+    report(1, ok, f"distance {distance:.16f}, runtime {elapsed * 1e3:.1f} ms")
 
 
 def test_criterion_2_bell_golden(bell_rho_s):
     bell = make_named("bell_psi_plus")
-    res = closest_pt_state(bell)
-    distance = res.distance_exact[0]
+    res = closest_pt_states(bell.matrix[None], bell.dims)
+    distance = np.linalg.norm(bell.matrix - res.rho_s[0])
     negativity = pt_negativity(res.d[0])
     robustness = pt_robustness(res.d[0])
     ok = (
@@ -88,11 +99,11 @@ def test_criterion_2_bell_golden(bell_rho_s):
     )
 
 
-def test_criterion_3_two_qubit_formula(hs_sweep):
+def test_criterion_3_two_qubit_formula(hs_sweep, hs_distances):
     start = time.perf_counter()
     npt = npt_rows(hs_sweep)
     rank3 = npt & (hs_sweep.rank == 3)
-    worst = np.max(np.abs(hs_sweep.distance_exact[rank3] - 2 / SQRT3 * -hs_sweep.d[rank3, 0]))
+    worst = np.max(np.abs(hs_distances[rank3] - 2 / SQRT3 * -hs_sweep.d[rank3, 0]))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 30.0
     report(
@@ -120,7 +131,7 @@ def test_criterion_4_measured_value_is_reported(hs_sweep, capsys):
     # seed-pinned, and reported as measured
     npt = npt_rows(hs_sweep)
     frac = hs_sweep.rho_s_is_positive[npt].sum() / npt.sum()
-    again = [closest_pt_state(sample_hs_random(4, seed)) for seed in range(100)]
+    again = [closest_pt_states(sample_hs_random_stack(4, [seed]), (2, 2)) for seed in range(100)]
     frac_again = [bool(r.rho_s_is_positive[0]) for r in again]
     assert frac_again == hs_sweep.rho_s_is_positive[:100].tolist()
     print(f"\nACCEPTANCE 4 (measured): positive-rho_s fraction {frac:.4f}")
@@ -139,46 +150,43 @@ def test_criterion_5_simplex_oracle():
     report(5, worst_lam <= 1e-12, f"1000 spectra, max |lambda - oracle| = {worst_lam:.2e}")
 
 
-def test_criterion_6_property_suites(hs_sweep):
+def test_criterion_6_property_suites(hs_states, hs_sweep, hs_distances):
     failures = []
 
     # PT involution and HS-norm preservation
-    for seed in range(200):
-        rho = sample_hs_random(4, seed)
-        pt = partial_transpose(rho.matrix, rho.dims)
-        if not np.array_equal(partial_transpose(pt, rho.dims), rho.matrix):
+    for seed, rho in enumerate(hs_states[:200]):
+        pt = partial_transpose(rho, (2, 2))
+        if not np.array_equal(partial_transpose(pt, (2, 2)), rho):
             failures.append(f"involution seed {seed}")
-        if abs(np.linalg.norm(pt) - np.linalg.norm(rho.matrix)) > 1e-12:
+        if abs(np.linalg.norm(pt) - np.linalg.norm(rho)) > 1e-12:
             failures.append(f"norm preservation seed {seed}")
 
     # projection idempotence on PPT states
-    moved = hs_sweep.distance_exact[:2000] > 1e-10
+    moved = hs_distances[:2000] > 1e-10
     for seed in np.flatnonzero((hs_sweep.d[:2000, 0] >= -1e-10) & moved):
         failures.append(f"idempotence seed {seed}")
 
     # linear-interpolation law for mixtures with I/n
-    for seed in range(50):
-        rho = sample_hs_random(4, seed)
-        d = np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims))
+    for seed, rho in enumerate(hs_states[:50]):
+        d = np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))
         for u in (0.2, 0.5, 0.8):
-            mixed = validate_state((1 - u) * np.eye(4) / 4 + u * rho.matrix, (2, 2))
+            mixed = validate_state((1 - u) * np.eye(4) / 4 + u * rho, (2, 2))
             dm = np.linalg.eigvalsh(partial_transpose(mixed.matrix, mixed.dims))
             if not np.allclose(dm, (1 - u) / 4 + u * d, atol=1e-10):
                 failures.append(f"interpolation seed {seed} u {u}")
 
     # robustness certificate
-    for seed in range(100):
-        rho = sample_hs_random(4, seed)
-        t = pt_robustness(closest_pt_state(rho).d[0])
+    for seed, rho in enumerate(hs_states[:100]):
+        t = pt_robustness(hs_sweep.d[seed])
         if t == 0.0:
             continue
-        pt = partial_transpose(rho.matrix, rho.dims)
+        pt = partial_transpose(rho, (2, 2))
         min_eig = np.linalg.eigvalsh((1 - t) * pt + t / 4 * np.eye(4))[0]
         if abs(min_eig) > 1e-10:
             failures.append(f"certificate seed {seed}")
 
     # at most one negative PT eigenvalue on two qubits
-    d = np.linalg.eigvalsh(partial_transpose(sample_hs_random_stack(4, range(N_SAMPLES)), (2, 2)))
+    d = np.linalg.eigvalsh(partial_transpose(hs_states, (2, 2)))
     for seed in np.flatnonzero(np.sum(d < -1e-12, axis=-1) > 1):
         failures.append(f"two negative PT eigenvalues seed {seed}")
 

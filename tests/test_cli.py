@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 
 from entgeo import (
     DensityMatrix,
-    closest_pt_state,
+    closest_pt_states,
     eig_hermitian,
     make_named,
     partial_transpose,
-    sample_hs_random,
     state_from_json,
-    state_to_json,
 )
 from entgeo import cli
 from entgeo.cli import main
 from entgeo.projection import pt_negativity, pt_robustness
+from entgeo.states import state_to_dict
 
 import reference_projection as ref
+
+
+def write_state(path, rho):
+    """Write a state file in the interchange schema."""
+    path.write_text(json.dumps(state_to_dict(rho)))
 
 
 def run(capsys, *argv):
@@ -86,7 +90,7 @@ class TestProject:
 
     def test_state_from_json_file(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
-        path.write_text(state_to_json(make_named("bell_psi_plus")))
+        write_state(path, make_named("bell_psi_plus"))
         code, out, _ = run(capsys, "project", "--state", str(path))
         assert code == 0
         assert "negativity:           1.0000000000000000" in out
@@ -94,7 +98,7 @@ class TestProject:
     @pytest.mark.parametrize("tag, dims", [("w", "2x4"), ("bell", "2x2")])
     def test_tag_wins_over_same_named_file(self, tmp_path, capsys, monkeypatch, tag, dims):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / tag).write_text(state_to_json(sample_hs_random(9, 0, dims=(3, 3))))
+        write_state(tmp_path / tag, ref.sample_hs_random(9, 0, dims=(3, 3)))
         code, out, _ = run(capsys, "project", "--state", tag)
         assert code == 0
         assert f"dims {dims}" in out
@@ -102,13 +106,13 @@ class TestProject:
     @pytest.mark.parametrize("name", ["w.json", "mystate"])
     def test_other_paths_load_as_files(self, tmp_path, capsys, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / name).write_text(state_to_json(sample_hs_random(9, 0, dims=(3, 3))))
+        write_state(tmp_path / name, ref.sample_hs_random(9, 0, dims=(3, 3)))
         code, out, _ = run(capsys, "project", "--state", name)
         assert code == 0
         assert "dims 3x3" in out
 
     def test_non_finite_state_exits_2(self, tmp_path, capsys):
-        doc = json.loads(state_to_json(make_named("max_mixed4")))
+        doc = state_to_dict(make_named("max_mixed4"))
         doc["matrix"][0][0] = [float("nan"), 0.0]
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))
@@ -118,7 +122,7 @@ class TestProject:
 
     def test_huge_entry_exits_2_without_a_warning(self, tmp_path, capsys):
         # its asymmetry norm overflowed; the suite turns a RuntimeWarning into an error
-        doc = json.loads(state_to_json(make_named("max_mixed4")))
+        doc = state_to_dict(make_named("max_mixed4"))
         doc["matrix"] = [[[0.0, 0.0]] * 4 for _ in range(4)]
         doc["matrix"][0][0] = [0.0, 1.34078079e154]
         path = tmp_path / "huge.json"
@@ -138,9 +142,9 @@ class TestProject:
     @pytest.mark.parametrize("state", ["w", "bell", "hs-3x3"])
     def test_report_reads_one_pt_spectrum(self, tmp_path, capsys, state, subsystem):
         if state == "hs-3x3":
-            rho = sample_hs_random(9, 0, dims=(3, 3))
+            rho = ref.sample_hs_random(9, 0, dims=(3, 3))
             state = str(tmp_path / "hs.json")
-            (tmp_path / "hs.json").write_text(state_to_json(rho))
+            write_state(tmp_path / "hs.json", rho)
         else:
             rho = make_named({"w": "w_state", "bell": "bell_psi_plus"}[state])
         out_path = tmp_path / "report.json"
@@ -160,14 +164,14 @@ class TestProject:
     def test_report_rho_s_is_the_state_schema(self, tmp_path, capsys, state):
         rho = make_named("w_state")
         if state == "hs-3x3":
-            rho = sample_hs_random(9, 0, dims=(3, 3))
+            rho = ref.sample_hs_random(9, 0, dims=(3, 3))
             state = str(tmp_path / "hs.json")
-            (tmp_path / "hs.json").write_text(state_to_json(rho))
+            write_state(tmp_path / "hs.json", rho)
         out_path = tmp_path / "report.json"
         code, _, _ = run(capsys, "project", "--state", state, "--json", str(out_path))
         assert code == 0
-        rho_s = closest_pt_state(rho).rho_s[0]
-        want = json.loads(state_to_json(DensityMatrix(rho_s, rho.dims)))
+        rho_s = closest_pt_states(rho.matrix[None], rho.dims).rho_s[0]
+        want = state_to_dict(DensityMatrix(rho_s, rho.dims))
         assert json.loads(out_path.read_text())["rho_s"] == want
 
     @pytest.mark.parametrize("state", ["w", "bell", "hs-2x2", "hs-3x3", "hs-3x4"])
@@ -175,7 +179,7 @@ class TestProject:
         if state.startswith("hs-"):
             da, db = map(int, state[3:].split("x"))
             path = tmp_path / "hs.json"
-            path.write_text(state_to_json(sample_hs_random(da * db, 0, dims=(da, db))))
+            write_state(path, ref.sample_hs_random(da * db, 0, dims=(da, db)))
             rho, state = state_from_json(path.read_text()), str(path)
         else:
             rho = make_named({"w": "w_state", "bell": "bell_psi_plus"}[state])
@@ -191,6 +195,20 @@ class TestProject:
         assert report["distance_closed_form"] == want.distance_closed_form
         assert report["d_min"] == want.d_min
         assert report["rho_s_is_positive"] == want.rho_s_is_positive
+
+    def test_report_decomposes_rho_pt_and_rho_s_once_each(self, capsys, monkeypatch):
+        # a named state skips validate_state, so these are the projection's own solves
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        code, _, _ = run(capsys, "project", "--state", "w")
+        assert code == 0
+        assert shapes == [(1, 8, 8), (1, 8, 8)]
 
     def test_ppt_negativity_is_positive_zero(self, tmp_path, capsys):
         # a PPT state of dims 2x4 reads +0, as every PPT state does
@@ -351,8 +369,8 @@ class TestScan:
     def test_json_plane_pair(self, tmp_path, capsys):
         pa = tmp_path / "rho1.json"
         pb = tmp_path / "rho2.json"
-        pa.write_text(state_to_json(make_named("bell_psi_plus")))
-        pb.write_text(state_to_json(make_named("ff2_rho2")))
+        write_state(pa, make_named("bell_psi_plus"))
+        write_state(pb, make_named("ff2_rho2"))
         out_path = tmp_path / "g.csv"
         code, _, _ = run(
             capsys, "scan", "--plane", f"{pa},{pb}", "--resolution", "11", "--out", str(out_path)
@@ -375,7 +393,7 @@ class TestScan:
 
     def test_tags_as_plane_halves(self, tmp_path, capsys):
         pa = tmp_path / "rho1.json"
-        pa.write_text(state_to_json(make_named("bell_psi_plus")))
+        write_state(pa, make_named("bell_psi_plus"))
         written = []
         for plane in ["ff2", "bell,ff2_rho2", f"{pa},ff2-rho2"]:
             out_path = tmp_path / "g.csv"
@@ -399,7 +417,7 @@ class TestScan:
         (tmp_path / "dir.json").mkdir()
         (tmp_path / "bad.json").write_text('{"dims": [2, 2], "matrix": 5}')
         # bell's size, another bipartition
-        (tmp_path / "s41.json").write_text(state_to_json(DensityMatrix(sample_hs_random(4, 3).matrix, (4, 1))))
+        write_state(tmp_path / "s41.json", DensityMatrix(ref.sample_hs_random(4, 3).matrix, (4, 1)))
         plane = f"{half},bell" if first else f"bell,{half}"
         code, _, err = run(capsys, "scan", "--plane", plane, "--resolution", "5", "--out", "g.csv")
         assert code == 2
@@ -545,7 +563,7 @@ class TestMain:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_scan_argv_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, tokens):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "state.json").write_text(state_to_json(make_named("ff2_rho2")))
+        write_state(tmp_path / "state.json", make_named("ff2_rho2"))
         (tmp_path / "bad.json").write_text('{"dims": [1e400, 2], "matrix": [[[1.0, 0.0]]]}')
         (tmp_path / "dir.json").mkdir(exist_ok=True)
         try:
@@ -559,7 +577,7 @@ class TestMain:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_project_argv_exits_0_2_or_3(self, tmp_path, monkeypatch, capsys, tokens):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "state.json").write_text(state_to_json(sample_hs_random(6, 1, dims=(2, 3))))
+        write_state(tmp_path / "state.json", ref.sample_hs_random(6, 1, dims=(2, 3)))
         (tmp_path / "bad.json").write_text('{"dims": [1e400, 2], "matrix": [[[1.0, 0.0]]]}')
         (tmp_path / "dir.json").mkdir(exist_ok=True)
         try:

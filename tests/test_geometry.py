@@ -6,12 +6,10 @@ from entgeo import (
     build_plane,
     contours_to_json,
     grid_to_csv,
-    hs_inner,
-    hs_norm,
     make_named,
     max_mixed,
     pt_negativity,
-    sample_hs_random,
+    sample_hs_random_stack,
     scan_plane,
     state_at,
 )
@@ -36,7 +34,7 @@ def ff_plane(tag):
 def coordinates(plane, m):
     """(a, b) frame coordinates of a matrix (its in-plane component)."""
     centered = m - np.eye(plane.n) / plane.n
-    return hs_inner(plane.a1, centered).real, hs_inner(plane.a2, centered).real
+    return np.vdot(plane.a1, centered).real, np.vdot(plane.a2, centered).real
 
 
 def grid_step(grid):
@@ -114,23 +112,23 @@ class TestBuildPlane:
         rho1 = make_named("bell_psi_plus")
         rho2 = make_named("ff2_rho2")
         center = np.eye(4) / 4
-        assert hs_inner(rho1.matrix - center, rho2.matrix - center) == pytest.approx(0)
+        assert np.vdot(rho1.matrix - center, rho2.matrix - center) == pytest.approx(0)
         plane = build_plane(rho1, rho2)
-        direct = (rho2.matrix - center) / hs_norm(rho2.matrix - center)
+        direct = (rho2.matrix - center) / np.linalg.norm(rho2.matrix - center)
         assert np.max(np.abs(plane.a2 - direct)) <= 1e-12
 
     def test_frame_invariants(self):
         for tag in ("ff1", "ff2", "ff3", "ff4", "ff8"):
             plane = ff_plane(tag)
-            assert abs(hs_inner(plane.a1, plane.a2)) <= 1e-12
+            assert abs(np.vdot(plane.a1, plane.a2)) <= 1e-12
             for a in (plane.a1, plane.a2):
-                assert abs(hs_norm(a) - 1) <= 1e-12
+                assert abs(np.linalg.norm(a) - 1) <= 1e-12
                 assert abs(np.trace(a)) <= 1e-12
-                assert hs_norm(a - a.conj().T) <= 1e-12
+                assert np.linalg.norm(a - a.conj().T) <= 1e-12
             # anchors are exactly representable in the frame
             for rho in ff_anchors(tag):
                 a, b = coordinates(plane, rho.matrix)
-                assert hs_norm(rho.matrix - state_at(plane, a, b)) <= 1e-10
+                assert np.linalg.norm(rho.matrix - state_at(plane, a, b)) <= 1e-10
 
     def test_ff1_bell_radius(self):
         plane = ff_plane("ff1")
@@ -147,7 +145,7 @@ class TestBuildPlane:
         bell = make_named("bell_psi_plus")
         # a (4, 1) state has bell's size but not its PT, so the PPT cells
         # would depend on which anchor comes first
-        s41 = DensityMatrix(sample_hs_random(4, 3).matrix, (4, 1))
+        s41 = DensityMatrix(sample_hs_random_stack(4, [3])[0], (4, 1))
         for rho1, rho2 in [(make_named("w_state"), bell), (s41, bell), (bell, s41)]:
             with pytest.raises(ValueError, match="anchors must share the bipartition, got dimensions"):
                 build_plane(rho1, rho2)
@@ -172,7 +170,7 @@ class TestStateAt:
         rng = np.random.default_rng(3)
         for _ in range(20):
             a, b, a2, b2 = rng.uniform(-1, 1, 4)
-            dist = hs_norm(state_at(plane, a, b) - state_at(plane, a2, b2))
+            dist = np.linalg.norm(state_at(plane, a, b) - state_at(plane, a2, b2))
             assert dist == pytest.approx(np.hypot(a - a2, b - b2), abs=1e-12)
 
 
@@ -256,7 +254,8 @@ class TestScanPlane:
     def test_blocks_bound_matrix_elements(self, monkeypatch, dims, block, resolution, sizes):
         # _SCAN_BLOCK * 16 // n^2 cells per block, and at least one
         n = dims[0] * dims[1]
-        plane = build_plane(sample_hs_random(n, 1, dims=dims), sample_hs_random(n, 2, dims=dims))
+        rho1, rho2 = sample_hs_random_stack(n, [1, 2])
+        plane = build_plane(DensityMatrix(rho1, dims), DensityMatrix(rho2, dims))
         seen = []
         scan_block = geometry._scan_block
 
@@ -309,18 +308,29 @@ class TestMarchingSquares:
         assert _marching_squares(xs, xs, f) == []
 
     def test_transpose_gives_the_same_nodes(self):
-        # a crossing is interpolated from its grid edge's lower node, which
-        # transposing keeps, so the nodes agree bitwise with a and b swapped
+        # a crossing is interpolated from its grid edge's lower node, and a
+        # saddle's corner sum adds opposite corners first; transposing keeps
+        # both, so the segments, and with them the nodes, agree bitwise with
+        # a and b swapped
+        def segments(lines, swap):
+            out = []
+            for line in lines:
+                pts = [(b, a) if swap else (a, b) for a, b in line.tolist()]
+                out += [tuple(sorted(pair)) for pair in zip(pts, pts[1:])]
+            return sorted(out)
+
         rng = np.random.default_rng(16)
+        # a saddle whose corners sum to 0.0 in one order and to -1.1e-16 in the transposed one
+        fields = [np.array([[0.8132702392002724, -1.1193900407108144], [-0.6066357757671799, 0.9127555772777217]])]
         for _ in range(200):
             shape = tuple(rng.integers(2, 10, size=2))
             # half-integers put exact zeros on grid nodes
-            f = np.where(rng.random(shape) < 0.3, rng.integers(-2, 3, shape) / 2, rng.standard_normal(shape))
-            a_values = np.linspace(0.0, 1.0, shape[0])
-            b_values = np.linspace(-0.5, 0.7, shape[1])
-            nodes = {(a, b) for line in _marching_squares(a_values, b_values, f) for a, b in line.tolist()}
-            swapped = {(a, b) for line in _marching_squares(b_values, a_values, f.T) for b, a in line.tolist()}
-            assert nodes == swapped
+            fields.append(np.where(rng.random(shape) < 0.3, rng.integers(-2, 3, shape) / 2, rng.standard_normal(shape)))
+        for f in fields:
+            a_values = np.linspace(0.0, 1.0, f.shape[0])
+            b_values = np.linspace(-0.5, 0.7, f.shape[1])
+            got = segments(_marching_squares(a_values, b_values, f), swap=False)
+            assert got == segments(_marching_squares(b_values, a_values, f.T), swap=True)
 
     def test_saddle_resolved_by_center(self):
         xs = np.array([0.0, 1.0])
@@ -489,9 +499,9 @@ class TestReferenceFigures:
             assert abs(neg(a, b) - neg(c * a + s * b, s * a - c * b)) <= 1e-10
 
     def test_random_plane_scan(self):
-        rho1 = sample_hs_random(4, 11)
-        rho2 = sample_hs_random(4, 12)
-        grid = scan_plane(build_plane(rho1, rho2), (-0.9, 0.9, 101), (-0.9, 0.9, 101))
+        rho1, rho2 = sample_hs_random_stack(4, [11, 12])
+        plane = build_plane(DensityMatrix(rho1, (2, 2)), DensityMatrix(rho2, (2, 2)))
+        grid = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
         i = int(np.argmin(np.abs(grid.a_values)))
         j = int(np.argmin(np.abs(grid.b_values)))
         assert grid.is_state[i, j]

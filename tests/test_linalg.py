@@ -1,4 +1,3 @@
-import re
 
 import numpy as np
 import pytest
@@ -6,15 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entgeo import (
-    closest_pt_state,
+    build_plane,
     closest_pt_states,
     eig_hermitian,
-    hs_inner,
-    hs_norm,
     partial_transpose,
     sample_hs_random_stack,
 )
-from entgeo.linalg import DEFAULT_TOL, as_matrix, asymmetry
+from entgeo.linalg import DEFAULT_TOL, asymmetry
 from entgeo.projection import above_noise_floor
 
 from conftest import random_hermitian
@@ -40,13 +37,14 @@ def hermitian_pair_strategy(max_dim=6):
     return st.builds(build, st.integers(0, 2**32 - 1), st.integers(2, max_dim))
 
 
-@pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
-def test_as_matrix_rejects_non_square(shape):
-    with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
-        as_matrix(np.zeros(shape))
+def hs_inner(a, b):
+    """tr(A^dagger B), written out as build_plane's Gram-Schmidt step computes it."""
+    return np.trace(a.conj().T @ b)
 
 
 class TestHsInner:
+    """The Hilbert-Schmidt inner product the plane frame is built with."""
+
     def test_identity(self):
         assert hs_inner(I4, I4) == pytest.approx(4 + 0j)
 
@@ -59,9 +57,10 @@ class TestHsInner:
         assert hs_inner(rho, rho) == pytest.approx(np.trace(rho @ rho))
         assert hs_inner(rho, rho).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            hs_inner(I4, np.eye(3))
+    def test_dimension_mismatch(self, w_state, bell):
+        # build_plane checks the anchors' bipartition before taking any inner product
+        with pytest.raises(ValueError, match="anchors must share the bipartition"):
+            build_plane(bell, w_state)
 
     @given(hermitian_pair_strategy())
     def test_conjugate_symmetry(self, pair):
@@ -70,23 +69,27 @@ class TestHsInner:
 
 
 class TestHsNorm:
+    """The Hilbert-Schmidt norm, np.linalg.norm of a matrix, as the plane frame and the project report take it."""
+
     def test_zero(self):
-        assert hs_norm(np.zeros((4, 4))) == 0.0
+        assert np.linalg.norm(np.zeros((4, 4))) == 0.0
 
     def test_normalized_identity(self):
-        assert hs_norm(I4 / 4) == pytest.approx(0.5)
+        assert np.linalg.norm(I4 / 4) == pytest.approx(0.5)
 
     def test_w_distance_to_reference_closest_state(self, w_state, w_rho_s):
-        assert hs_norm(w_state.matrix - w_rho_s) == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
+        assert np.linalg.norm(w_state.matrix - w_rho_s) == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
+        rho_s = closest_pt_states(w_state.matrix[None], w_state.dims).rho_s[0]
+        assert np.linalg.norm(w_state.matrix - rho_s) == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
 
     @given(hermitian_strategy(6), st.floats(-3, 3))
     def test_homogeneity(self, a, s):
-        assert hs_norm(s * a) == pytest.approx(abs(s) * hs_norm(a))
+        assert np.linalg.norm(s * a) == pytest.approx(abs(s) * np.linalg.norm(a))
 
     @given(hermitian_pair_strategy())
     def test_triangle_inequality(self, pair):
         a, b = pair
-        assert hs_norm(a + b) <= hs_norm(a) + hs_norm(b) + 1e-12
+        assert np.linalg.norm(a + b) <= np.linalg.norm(a) + np.linalg.norm(b) + 1e-12
 
 
 class TestEigHermitian:
@@ -133,16 +136,16 @@ class TestEigHermitian:
     @settings(max_examples=200)
     def test_reconstruction_and_unitarity(self, a):
         w, u = eig_hermitian(a)
-        scale = max(1.0, hs_norm(a))
-        assert hs_norm(a - (u * w) @ u.conj().T) <= 1e-10 * scale
+        scale = max(1.0, np.linalg.norm(a))
+        assert np.linalg.norm(a - (u * w) @ u.conj().T) <= 1e-10 * scale
         n = a.shape[0]
-        assert hs_norm(u.conj().T @ u - np.eye(n)) <= 1e-10
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10
         assert np.all(np.diff(w) >= 0)
 
     @given(hermitian_strategy())
     def test_spectral_norm_consistency(self, a):
         w, _ = eig_hermitian(a)
-        assert hs_norm(a) ** 2 == pytest.approx(np.sum(w**2), abs=1e-9)
+        assert np.linalg.norm(a) ** 2 == pytest.approx(np.sum(w**2), abs=1e-9)
 
     def test_largest_finite_entries(self):
         w, _ = eig_hermitian(np.diag([1e308, 1e308]))
@@ -168,7 +171,7 @@ class TestIsPsd:
         assert not above_noise_floor(eig_hermitian(w_pt)[0][0])
 
     def test_w_closest_state_is_psd(self, w_state, w_rho_s):
-        res = closest_pt_state(w_state)
+        res = closest_pt_states(w_state.matrix[None], w_state.dims)
         assert res.rho_s_is_positive[0]
         assert np.max(np.abs(res.rho_s[0] - w_rho_s)) <= 1e-10
         assert above_noise_floor(eig_hermitian(w_rho_s)[0][0])

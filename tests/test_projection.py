@@ -6,24 +6,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entgeo import (
-    closest_pt_state,
+    closest_pt_states,
     distance_closed_form,
     eig_hermitian,
-    hs_norm,
     make_named,
     max_mixed,
     partial_transpose,
     project_simplex_psd,
     pt_negativity,
     pt_robustness,
-    sample_hs_random,
     sample_hs_random_stack,
     scan_plane,
     state_at,
     validate_state,
 )
 from entgeo.cli import resolve_plane
-from entgeo.states import DensityMatrix
+from entgeo.projection import above_noise_floor
 
 import reference_projection as ref
 
@@ -32,7 +30,13 @@ SQRT2 = np.sqrt(2.0)
 
 def pt_spectrum(rho):
     """Ascending spectrum of rho^PT, as the projection computes it."""
-    return closest_pt_state(rho).d[0]
+    return closest_pt_states(rho.matrix[None], rho.dims).d[0]
+
+
+def hs_states(n, seeds):
+    """HS-random states of dims (2, n/2), and their projections, one row per seed."""
+    rhos = sample_hs_random_stack(n, seeds)
+    return rhos, closest_pt_states(rhos, (2, n // 2))
 
 
 def support(kept):
@@ -135,9 +139,9 @@ class TestProjectSimplexPsd:
 
 class TestClosestPtState:
     def test_w_state_golden(self, w_state, w_rho_s):
-        res = closest_pt_state(w_state)
+        res = closest_pt_states(w_state.matrix[None], w_state.dims)
         assert np.max(np.abs(res.rho_s[0] - w_rho_s)) <= 1e-10
-        assert res.distance_exact[0] == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
+        assert np.linalg.norm(w_state.matrix - res.rho_s[0]) == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
         assert distance_closed_form(res.d, res.kept)[0] == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
         assert res.rho_s_is_positive[0]
         assert res.d[0, 0] == pytest.approx(-SQRT2 / 3, abs=1e-12)
@@ -147,42 +151,35 @@ class TestClosestPtState:
         assert np.allclose(e_squared[3:], 0.0)
 
     def test_bell_golden(self, bell, bell_rho_s):
-        res = closest_pt_state(bell)
+        res = closest_pt_states(bell.matrix[None], bell.dims)
         assert np.max(np.abs(res.rho_s[0] - bell_rho_s)) <= 1e-10
-        assert res.distance_exact[0] == pytest.approx(1 / np.sqrt(3), abs=1e-12)
+        assert np.linalg.norm(bell.matrix - res.rho_s[0]) == pytest.approx(1 / np.sqrt(3), abs=1e-12)
         assert res.rank[0] == 3
 
     def test_ppt_fixed_point(self):
         sigma = make_named("ff2_rho2")  # product state, PPT
-        res = closest_pt_state(sigma)
-        assert res.distance_exact[0] <= 1e-10
+        res = closest_pt_states(sigma.matrix[None], sigma.dims)
+        assert np.linalg.norm(sigma.matrix - res.rho_s[0]) <= 1e-10
         assert np.max(np.abs(res.rho_s[0] - sigma.matrix)) <= 1e-10
 
     def test_ppt_idempotence_random(self):
-        hit = 0
-        for seed in range(300):
-            rho = sample_hs_random(4, seed)
-            d_min = np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims))[0]
-            if d_min < 0:
-                continue
-            hit += 1
-            res = closest_pt_state(rho)
-            assert res.distance_exact[0] <= 1e-10
-        assert hit > 10
+        rhos, res = hs_states(4, range(300))
+        ppt = np.linalg.eigvalsh(partial_transpose(rhos, (2, 2)))[:, 0] >= 0
+        assert ppt.sum() > 10
+        for rho, rho_s in zip(rhos[ppt], res.rho_s[ppt]):
+            assert np.linalg.norm(rho - rho_s) <= 1e-10
 
     def test_invariants_random(self):
-        for seed in range(500):
-            rho = sample_hs_random(4, seed)
-            res = closest_pt_state(rho)
-            rho_s = res.rho_s[0]
-            assert np.all(res.e2 >= 0)
-            assert res.e2.sum() == pytest.approx(1.0, abs=1e-10)
+        rhos, res = hs_states(4, range(500))
+        for rho, rho_s, e2 in zip(rhos, res.rho_s, res.e2):
+            assert np.all(e2 >= 0)
+            assert e2.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.trace(rho_s).real == pytest.approx(1.0, abs=1e-10)
-            assert hs_norm(rho_s - rho_s.conj().T) <= 1e-10
+            assert np.linalg.norm(rho_s - rho_s.conj().T) <= 1e-10
             # PT isometry: distance computed in PT space equals state space
-            pt = partial_transpose(rho.matrix, rho.dims)
-            sigma = partial_transpose(rho_s, rho.dims)
-            assert abs(res.distance_exact[0] - hs_norm(pt - sigma)) <= 1e-12
+            pt = partial_transpose(rho, (2, 2))
+            sigma = partial_transpose(rho_s, (2, 2))
+            assert abs(np.linalg.norm(rho - rho_s) - np.linalg.norm(pt - sigma)) <= 1e-12
 
     def test_rank2_cases_have_indefinite_rho_s(self):
         # rank-2 projections are vanishingly rare under the HS measure; rank-2
@@ -195,7 +192,7 @@ class TestClosestPtState:
             g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            res = closest_pt_state(DensityMatrix(rho, (2, 2)))
+            res = closest_pt_states(rho[None], (2, 2))
             if res.d[0, 0] >= -1e-10 or res.rank[0] != 2:
                 continue
             rank2 += 1
@@ -304,9 +301,7 @@ class TestSpectralMeasures:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_stack_matches_per_state_formulas(self, dims):
         n = dims[0] * dims[1]
-        hs = np.stack(
-            [eig_hermitian(partial_transpose(sample_hs_random(n, seed, dims=dims).matrix, dims))[0] for seed in range(200)]
-        )
+        hs = eig_hermitian(partial_transpose(sample_hs_random_stack(n, range(200)), dims))[0]
         # trace-1 spectra with large negative parts, where the projection also
         # drops positive eigenvalues
         x = np.random.default_rng(n).normal(size=(200, n))
@@ -364,10 +359,10 @@ class TestRobustness:
         assert t == pytest.approx(robustness_bisection_oracle(w_state), abs=1e-9)
 
     def test_certificate_and_monotonicity(self):
-        for seed in range(50):
-            rho = sample_hs_random(4, seed)
-            t = pt_robustness(pt_spectrum(rho))
-            pt = partial_transpose(rho.matrix, rho.dims)
+        rhos, res = hs_states(4, range(50))
+        for rho, d in zip(rhos, res.d):
+            t = pt_robustness(d)
+            pt = partial_transpose(rho, (2, 2))
             mix = lambda s: (1 - s) * pt + s / 4 * np.eye(4)
             if t == 0.0:
                 assert np.linalg.eigvalsh(pt)[0] >= -1e-10
@@ -385,53 +380,64 @@ def two_qubit_formula(d_min):
 
 class TestTwoQubitDistance:
     def test_bell(self, bell):
-        res = closest_pt_state(bell)
+        res = closest_pt_states(bell.matrix[None], bell.dims)
         d_min = res.d[0, 0]
         assert res.rank[0] == 3
         assert two_qubit_formula(d_min) == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-        assert res.distance_exact[0] == pytest.approx(two_qubit_formula(d_min), abs=1e-12)
+        assert np.linalg.norm(bell.matrix - res.rho_s[0]) == pytest.approx(two_qubit_formula(d_min), abs=1e-12)
         assert distance_closed_form(res.d, res.kept)[0] == pytest.approx(two_qubit_formula(d_min), abs=1e-12)
 
     def test_ppt(self):
-        res = closest_pt_state(max_mixed(4))
+        rho = max_mixed(4)
+        res = closest_pt_states(rho.matrix[None], rho.dims)
         assert distance_closed_form(res.d, res.kept)[0] == 0.0
-        assert res.distance_exact[0] <= 1e-15
+        assert np.linalg.norm(rho.matrix - res.rho_s[0]) <= 1e-15
 
     def test_wrong_dims(self):
         # the formula is the two-qubit case n = 4 of sqrt(n/(n-1))|d_min|, the
         # distance of a spectrum with one negative eigenvalue and rank n - 1;
         # on 2x3 it overshoots by sqrt((4/3) / (6/5))
-        checked = 0
-        for seed in range(200):
-            res = closest_pt_state(sample_hs_random(6, seed, dims=(2, 3)))
-            d, distance = res.d[0], res.distance_exact[0]
-            if res.rank[0] != 5 or d[1] < 0:
-                continue
-            checked += 1
+        rhos, res = hs_states(6, range(200))
+        checked = (res.rank == 5) & (res.d[:, 1] >= 0)
+        assert checked.sum() > 10
+        for rho, rho_s, d in zip(rhos[checked], res.rho_s[checked], res.d[checked]):
+            distance = np.linalg.norm(rho - rho_s)
             assert distance == pytest.approx(np.sqrt(6 / 5) * -d[0], abs=1e-12)
             assert two_qubit_formula(d[0]) == pytest.approx(np.sqrt(10 / 9) * distance, rel=1e-12)
-        assert checked > 10
 
     def test_formula_matches_exact_whenever_rank3(self):
-        checked = 0
-        for seed in range(2000):
-            res = closest_pt_state(sample_hs_random(4, seed))
-            d_min = res.d[0, 0]
-            if d_min >= -1e-10 or res.rank[0] != 3:
-                continue
-            checked += 1
-            assert abs(two_qubit_formula(d_min) - res.distance_exact[0]) <= 1e-10
-            assert abs(two_qubit_formula(d_min) - distance_closed_form(res.d, res.kept)[0]) <= 1e-10
-        assert checked > 1000
+        rhos, res = hs_states(4, range(2000))
+        checked = (res.d[:, 0] < -1e-10) & (res.rank == 3)
+        assert checked.sum() > 1000
+        formula = two_qubit_formula(res.d[checked, 0])
+        distance = np.linalg.norm(rhos - res.rho_s, axis=(1, 2))[checked]
+        assert np.abs(formula - distance).max() <= 1e-10
+        assert np.abs(formula - distance_closed_form(res.d, res.kept)[checked]).max() <= 1e-10
 
 
 class TestInterpolationLaw:
     def test_pt_spectrum_of_identity_mixture_is_affine(self):
         # eigenvalues of ((1-u) I/n + u rho)^PT are (1-u)/n + u d_i, sorted
-        for seed in range(50):
-            rho = sample_hs_random(4, seed)
-            d = np.linalg.eigvalsh(partial_transpose(rho.matrix, rho.dims))
+        for rho in sample_hs_random_stack(4, range(50)):
+            d = np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))
             for u in (0.0, 0.25, 0.5, 0.75, 1.0):
-                mixed = validate_state((1 - u) * np.eye(4) / 4 + u * rho.matrix, (2, 2))
+                mixed = validate_state((1 - u) * np.eye(4) / 4 + u * rho, (2, 2))
                 dm = np.linalg.eigvalsh(partial_transpose(mixed.matrix, mixed.dims))
                 assert np.allclose(dm, (1 - u) / 4 + u * d, atol=1e-10)
+
+
+class TestAnalyticOracles:
+    def test_rebit_ppt_probability(self):
+        # Under the Hilbert-Schmidt measure on real two-qubit states the PPT
+        # probability is 29/64 (Lovas & Andai, J. Phys. A 50, 295303, 2017).
+        # rho = G G^T / tr(G G^T) with G a real 4x5 Gaussian matrix samples that
+        # measure (a square G gives another one); real input runs through the
+        # complex PT and noise-floor path.
+        samples = 40_000
+        g = np.random.default_rng(2017).standard_normal((samples, 4, 5))
+        rhos = g @ g.swapaxes(-1, -2)
+        rhos /= np.trace(rhos, axis1=-2, axis2=-1)[:, None, None]
+        d = eig_hermitian(partial_transpose(rhos, (2, 2)))[0]
+        p = 29 / 64
+        z = (above_noise_floor(d[:, 0]).mean() - p) / np.sqrt(p * (1 - p) / samples)
+        assert abs(z) < 4

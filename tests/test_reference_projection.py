@@ -5,13 +5,11 @@ import pytest
 
 import reference_projection as ref
 from entgeo import (
-    closest_pt_state,
     closest_pt_states,
     distance_closed_form,
     eig_hermitian,
     make_named,
     partial_transpose,
-    sample_hs_random,
     sample_hs_random_stack,
 )
 from entgeo.cli import main
@@ -44,16 +42,18 @@ def test_stats_without_npt_states_matches_reference(capsys):
     assert lines[1].endswith("(0/2)")
 
 
-def assert_rows_are_reference(batch, wants):
-    """Each row of a projection batch equals its per-state reference result bit for bit."""
-    distance_exact = batch.distance_exact
+def assert_rows_are_reference(rhos, batch, wants):
+    """Each row of the projection batch of a stack equals its per-state reference result bit for bit.
+
+    The distance is one norm per matrix, as the project report takes it.
+    """
     closed_form = distance_closed_form(batch.d, batch.kept)
     for i, want in enumerate(wants):
         assert np.array_equal(batch.rho_s[i], want.closest_pt_state)
         assert np.array_equal(np.sort(batch.e2[i])[::-1], want.e_squared)
         assert batch.lam[i] == want.lam
         assert tuple(np.flatnonzero(batch.kept[i])) == want.kept_indices
-        assert distance_exact[i] == want.distance_exact
+        assert np.linalg.norm(rhos[i] - batch.rho_s[i]) == want.distance_exact
         assert closed_form[i] == want.distance_closed_form
         assert batch.rho_s_is_positive[i] == want.rho_s_is_positive
         assert batch.d[i, 0] == want.d_min
@@ -64,16 +64,18 @@ def test_closest_pt_state_fields_bitwise(dims):
     n = dims[0] * dims[1]
     for seed in range(500):
         rho = ref.sample_hs_random(n, seed, dims=dims)
-        assert_rows_are_reference(closest_pt_state(rho), [ref.closest_pt_state(rho)])
+        one = rho.matrix[None]
+        assert_rows_are_reference(one, closest_pt_states(one, dims), [ref.closest_pt_state(rho)])
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=dims_id)
 def test_closest_pt_states_rows_bitwise(dims):
     n = dims[0] * dims[1]
     seeds = range(300, 500)
-    batch = closest_pt_states(sample_hs_random_stack(n, seeds), dims)
+    rhos = sample_hs_random_stack(n, seeds)
+    batch = closest_pt_states(rhos, dims)
     assert np.array_equal(batch.rank, batch.kept.sum(axis=1))
-    assert_rows_are_reference(batch, [ref.closest_pt_state(ref.sample_hs_random(n, seed, dims=dims)) for seed in seeds])
+    assert_rows_are_reference(rhos, batch, [ref.closest_pt_state(ref.sample_hs_random(n, seed, dims=dims)) for seed in seeds])
 
 
 def _invariance_states(case):
@@ -87,15 +89,15 @@ def _invariance_states(case):
 )
 def test_projection_does_not_depend_on_the_transposed_factor(case):
     # sigma^{T_A} = (sigma^{T_B})^T and transposition maps states onto states,
-    # so closest_pt_state, which transposes B, is the projection over A too
+    # so closest_pt_states, which transposes B, is the projection over A too
     for rho in _invariance_states(case):
-        got = closest_pt_state(rho)
+        got = closest_pt_states(rho.matrix[None], rho.dims)
         want = ref.closest_pt_state(rho, "A")
         assert np.abs(got.rho_s[0] - want.closest_pt_state).max() <= 1e-14
         assert np.abs(np.sort(got.e2[0])[::-1] - want.e_squared).max() <= 1e-14
         scalars = {
             "lam": got.lam[0],
-            "distance_exact": got.distance_exact[0],
+            "distance_exact": np.linalg.norm(rho.matrix - got.rho_s[0]),
             "distance_closed_form": distance_closed_form(got.d, got.kept)[0],
             "d_min": got.d[0, 0],
         }
@@ -112,7 +114,7 @@ def test_sampler_bitwise(n):
     for i, seed in enumerate(seeds):
         want = ref.sample_hs_random(n, seed).matrix
         assert np.array_equal(stack[i], want)
-        assert np.array_equal(sample_hs_random(n, seed).matrix, want)
+        assert np.array_equal(sample_hs_random_stack(n, [seed])[0], want)
 
 
 @pytest.mark.parametrize("subsystem", ["A", "B"])

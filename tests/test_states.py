@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 
 import reference_projection as ref
 from entgeo import (
-    hs_norm,
     make_named,
     max_mixed,
     partial_transpose,
-    sample_hs_random,
     sample_hs_random_stack,
     state_from_json,
-    state_to_json,
     validate_state,
 )
 from entgeo.states import MAX_DIM, DensityMatrix, state_to_dict
 
 random_state = st.builds(
-    lambda seed, n: sample_hs_random(n, seed), st.integers(0, 2**32 - 1), st.sampled_from([4, 6, 8])
+    lambda seed, n: DensityMatrix(sample_hs_random_stack(n, [seed])[0], (2, n // 2)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([4, 6, 8]),
 )
 
 
@@ -102,7 +101,7 @@ class TestPartialTranspose:
 
     @given(random_state)
     def test_hs_norm_preserved(self, rho):
-        assert abs(hs_norm(partial_transpose(rho.matrix, rho.dims)) - hs_norm(rho.matrix)) <= 1e-12
+        assert abs(np.linalg.norm(partial_transpose(rho.matrix, rho.dims)) - np.linalg.norm(rho.matrix)) <= 1e-12
 
     @given(random_state)
     def test_pt_a_is_pt_b_then_full_transpose(self, rho):
@@ -128,9 +127,9 @@ class TestSampling:
             validate_state(rho, (2, 2))
 
     def test_deterministic_per_seed(self):
-        a = sample_hs_random(4, 1234)
-        b = sample_hs_random(4, 1234)
-        assert np.array_equal(a.matrix, b.matrix)
+        a = sample_hs_random_stack(4, [1234])
+        b = sample_hs_random_stack(4, [1234])
+        assert np.array_equal(a, b)
 
     def test_mean_purity_matches_hs_measure(self):
         # E[tr rho^2] = 2n/(n^2+1) under the Hilbert-Schmidt measure
@@ -153,13 +152,13 @@ class TestSampling:
 
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
-            sample_hs_random(1, 0)
+            sample_hs_random_stack(1, [0])
 
     def test_rejects_negative_seeds(self):
         with pytest.raises(ValueError, match="seeds must be non-negative, got -3$"):
             sample_hs_random_stack(4, [5, -3, 2**64, -1])
         with pytest.raises(ValueError, match="got -1$"):
-            sample_hs_random(4, -1)
+            sample_hs_random_stack(4, [-1])
 
 
 # SeedSequence splits a seed into 32-bit words and mixes the words beyond its
@@ -201,9 +200,15 @@ class TestValidateState:
         with pytest.raises(ValueError, match=re.escape(f"dims must be two positive integers, got {dims!r}")):
             validate_state(m, dims)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        # dA * dB is the last axis, so only the shape is wrong
+        with pytest.raises(ValueError, match=re.escape(f"inconsistent with a {shape} matrix")):
+            validate_state(np.zeros(shape), (1, shape[-1]))
+
     def test_sampled_state_dims_must_fit(self):
         with pytest.raises(ValueError, match=re.escape("dims (3, 3) inconsistent with a (4, 4) matrix")):
-            sample_hs_random(4, 1, dims=(3, 3))
+            DensityMatrix(sample_hs_random_stack(4, [1])[0], (3, 3))
 
     def test_dims_are_python_ints(self):
         rho = DensityMatrix(np.eye(6) / 6, np.array([2, 3]))
@@ -318,14 +323,14 @@ class TestJson:
 
     def test_round_trip_w(self):
         rho = make_named("w_state")
-        back = state_from_json(state_to_json(rho))
+        back = state_from_json(json.dumps(state_to_dict(rho)))
         assert np.array_equal(back.matrix, rho.matrix)
         assert back.dims == rho.dims
 
     @given(random_state)
     @settings(max_examples=25)
     def test_round_trip_random(self, rho):
-        back = state_from_json(state_to_json(rho))
+        back = state_from_json(json.dumps(state_to_dict(rho)))
         assert np.array_equal(back.matrix, rho.matrix)
 
     def test_inconsistent_dims(self):
