@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -19,21 +20,31 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
 
+@functools.lru_cache(maxsize=64)
+def _matrix_template(show_im: bytes, n_cols: int) -> str:
+    """One %-template per row: a cell shows its imaginary part where its ``show_im`` byte is set."""
+    cells = ["%+9.6f%+9.6fi" if show else "%+9.6f" for show in show_im]
+    return "\n".join(["  ".join(cells[i:i + n_cols]) for i in range(0, len(cells), n_cols)])
+
+
 def _format_matrix(m: np.ndarray) -> str:
-    rows = []
-    # Python numbers format faster than numpy scalars, to the same text
-    for row in m.tolist():
-        cells = []
-        for z in row:
-            if abs(z.imag) > 5e-7:
-                cells.append(f"{z.real:+9.6f}{z.imag:+9.6f}i")
-            else:
-                cells.append(f"{z.real:+9.6f}")
-        rows.append("  ".join(cells))
-    return "\n".join(rows)
+    show_im = np.abs(m.imag) > 5e-7
+    # the complex entries as interleaved (re, im) floats, keeping each im only where it is shown
+    keep = np.ones((m.shape[0], 2 * m.shape[1]), dtype=bool)
+    keep[:, 1::2] = show_im
+    values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)[keep]
+    return _matrix_template(show_im.tobytes(), m.shape[1]) % tuple(values.tolist())
 
 
 _encode_scalar = json.JSONEncoder().encode
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_row_template(n: int, indent: str) -> str:
+    """The ``json.dumps(indent=1)`` layout of n [re, im] pairs at ``indent``, a %r slot per float."""
+    inner, pair_indent = indent + " ", indent + "  "
+    pair = f"[\n{pair_indent}%r,\n{pair_indent}%r\n{inner}]"
+    return f"[\n{inner}" + f",\n{inner}".join([pair] * n) + f"\n{indent}]"
 
 
 def _report_json(obj, indent: str = "") -> str:
@@ -41,13 +52,20 @@ def _report_json(obj, indent: str = "") -> str:
 
     ``json.dumps`` with an indent runs its pure-Python encoder; this writes the
     same layout and hands each key and non-finite or non-float scalar to the C
-    encoder. Finite floats take ``float.__repr__``, as ``json`` writes them.
+    encoder. Finite floats take ``float.__repr__``, as ``json`` writes them; a
+    row of [re, im] pairs that are all finite floats is one ``%r`` template.
     """
     if isinstance(obj, float) and math.isfinite(obj):
         return float.__repr__(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+            # a list: tuples built from an iterator are resized, and once freed they pile up
+            # in CPython's tuple free lists (2000 per size up to 20), about 1 MB over a run
+            flat = list(itertools.chain.from_iterable(obj))
+            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+                return _pair_row_template(len(obj), indent) % tuple(flat)
         inner = indent + " "
         items = (",\n" + inner).join(
             [float.__repr__(v) if type(v) is float and math.isfinite(v) else _report_json(v, inner) for v in obj]

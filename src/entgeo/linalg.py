@@ -21,17 +21,8 @@ def asymmetry(a: np.ndarray):
     return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
 
 
-def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, u) of a Hermitian matrix or a (..., n, n) stack of them, A = u diag(w) u^dagger.
-
-    Every entry must be finite and every matrix Hermitian within
-    ``DEFAULT_TOL`` (measured as ||A - A^dagger||_2; the error reports the
-    worst one); it is symmetrized before decomposition so roundoff asymmetry
-    cannot leak into the spectrum.
-    Eigenvalues come back sorted ascending with the stack's leading axes, the
-    columns of u are the matching eigenvectors, and repeated calls on the same
-    input give bitwise-identical results, stacked or one matrix at a time.
-    """
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(A + A^dagger)/2 in complex128, after the checks both eigensolvers make."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -43,4 +34,28 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # halve before adding: A + A^dagger overflows for entries near 1e308
     half = a / 2
     half += half.conj().swapaxes(-1, -2)
-    return np.linalg.eigh(half)
+    return half
+
+
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, u) of a Hermitian matrix or a (..., n, n) stack of them, A = u diag(w) u^dagger.
+
+    Every entry must be finite and every matrix Hermitian within
+    ``DEFAULT_TOL`` (measured as ||A - A^dagger||_2; the error reports the
+    worst one); it is symmetrized before decomposition so roundoff asymmetry
+    cannot leak into the spectrum.
+    Eigenvalues come back sorted ascending with the stack's leading axes, the
+    columns of u are the matching eigenvectors, and repeated calls on the same
+    input give bitwise-identical results, stacked or one matrix at a time.
+    """
+    return np.linalg.eigh(_symmetrized(a))
+
+
+def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or a (..., n, n) stack of them, without eigenvectors.
+
+    Input is checked and symmetrized as by :func:`eig_hermitian`. LAPACK's
+    eigenvalue-only path is cheaper and agrees with ``eig_hermitian(a)[0]``
+    to roundoff, not bitwise.
+    """
+    return np.linalg.eigvalsh(_symmetrized(a))

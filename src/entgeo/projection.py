@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, eig_hermitian
+from .linalg import DEFAULT_TOL, eig_hermitian, eigvals_hermitian
 from .states import partial_transpose
 
 PPT_EIG_TOL = 1e-10
@@ -137,7 +137,7 @@ def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> P
         lam=lam,
         kept=kept,
         rho_s=rho_s,
-        rho_s_min_eig=eig_hermitian(rho_s)[0][..., 0],
+        rho_s_min_eig=eigvals_hermitian(rho_s)[..., 0],
     )
 
 

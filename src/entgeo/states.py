@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, asymmetry, eig_hermitian
+from .linalg import DEFAULT_TOL, asymmetry, eigvals_hermitian
 
 SQRT3 = np.sqrt(3.0)
 
@@ -69,7 +69,7 @@ def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
     tr = complex(np.trace(m))
     if abs(tr - 1) > DEFAULT_TOL:
         raise ValueError(f"trace != 1, got {tr.real:.6g}")
-    min_eig = eig_hermitian(m)[0][0]
+    min_eig = eigvals_hermitian(m)[0]
     if min_eig < -DEFAULT_TOL:
         raise ValueError(f"not PSD, min eigenvalue {min_eig:.4g}")
     return rho
@@ -269,8 +269,15 @@ def state_from_json(text: str) -> DensityMatrix:
         raise ValueError(f"malformed state document: {exc}") from exc
     try:
         dims = _checked_dims(doc["dims"])
-        rows = doc["matrix"]
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
+        pairs = np.array(doc["matrix"])
+        # integers beyond 64 bits make an object array; too large for a float, they raise OverflowError
+        if pairs.dtype == object and all(type(x) in (int, float, bool) for x in pairs.flat):
+            pairs = pairs.astype(float)
+        if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ValueError("matrix must be rows of [re, im] number pairs")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    # set the parts apart: re + 1j*im would turn an imaginary -0.0 into +0.0
+    m = np.empty(pairs.shape[:2], dtype=np.complex128)
+    m.real, m.imag = pairs[..., 0], pairs[..., 1]
     return validate_state(m, dims)

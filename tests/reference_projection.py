@@ -2,10 +2,10 @@
 
 These are the original one-matrix-at-a-time versions of ``entgeo``'s
 Hilbert-Schmidt sampler, partial transpose, Hermitian eigensolver, simplex
-projection, closed-form distance, ``closest_pt_state`` with its result type
-and the ``entgeo stats`` loop, kept unchanged as a test oracle: the batched
-library code must reproduce their output exactly (same bits, same printed
-lines).
+projection, closed-form distance, ``closest_pt_state`` with its result type,
+the ``entgeo stats`` loop and the ``entgeo project`` matrix printer, kept
+unchanged as a test oracle: the batched library code must reproduce their
+output exactly (same bits, same printed lines).
 """
 
 from __future__ import annotations
@@ -177,3 +177,17 @@ def stats_lines(samples: int, seed: int, dims: tuple[int, int]) -> list[str]:
             f"rank-2 fraction (NPT):    {rank2 / npt:.4f}  ({rank2_positive} of {rank2} with PSD rho_s)",
         ]
     return lines
+
+
+def format_matrix(m: np.ndarray) -> str:
+    """The rho_s block of ``entgeo project`` stdout, one f-string per cell."""
+    rows = []
+    for row in m.tolist():
+        cells = []
+        for z in row:
+            if abs(z.imag) > 5e-7:
+                cells.append(f"{z.real:+9.6f}{z.imag:+9.6f}i")
+            else:
+                cells.append(f"{z.real:+9.6f}")
+        rows.append("  ".join(cells))
+    return "\n".join(rows)

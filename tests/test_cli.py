@@ -197,18 +197,20 @@ class TestProject:
         assert report["rho_s_is_positive"] == want.rho_s_is_positive
 
     def test_report_decomposes_rho_pt_and_rho_s_once_each(self, capsys, monkeypatch):
-        # a named state skips validate_state, so these are the projection's own solves
+        # a named state skips validate_state, so these are the projection's own solves:
+        # eigenvectors of rho^PT, the least eigenvalue alone of rho_s
         shapes = []
-        eigh = np.linalg.eigh
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
 
-        def counted(a):
-            shapes.append(a.shape)
-            return eigh(a)
+            def counted(a, _name=name, _solver=solver):
+                shapes.append((_name, a.shape))
+                return _solver(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            monkeypatch.setattr(np.linalg, name, counted)
         code, _, _ = run(capsys, "project", "--state", "w")
         assert code == 0
-        assert shapes == [(1, 8, 8), (1, 8, 8)]
+        assert shapes == [("eigh", (1, 8, 8)), ("eigvalsh", (1, 8, 8))]
 
     def test_ppt_negativity_is_positive_zero(self, tmp_path, capsys):
         # a PPT state of dims 2x4 reads +0, as every PPT state does
@@ -231,7 +233,7 @@ class TestProject:
         # a named state skips validate_state: only rho^PT and rho_s are decomposed
         code, _, _ = run(capsys, "project", "--state", "w", "--json", str(tmp_path / "w.json"))
         assert code == 0
-        assert calls == ["eigh", "eigh"]
+        assert calls == ["eigh", "eigvalsh"]
 
 
 class TestStats:
@@ -500,8 +502,53 @@ scan_tokens = st.one_of(
 )
 
 
+# rows of [re, im] pairs, as a report writes a matrix; every length up to a 4x4 state's 16 columns
+PAIR_ROW_FLOATS = [-0.0, 5e-324, 1e16, 0.1]
+PAIR_ROWS = [
+    [[PAIR_ROW_FLOATS[(2 * j) % 4], PAIR_ROW_FLOATS[(2 * j + n) % 4]] for j in range(n)] for n in range(1, 17)
+]
+pair_rows = st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=16)
+
+# per-cell imaginary parts on both sides of the 5e-7 display threshold, and signed zeros
+IM_EDGES = [5e-7, np.nextafter(5e-7, 0), np.nextafter(5e-7, 1), -0.0, 0.0]
+matrix_parts = st.floats() | st.sampled_from(IM_EDGES + [-x for x in IM_EDGES])
+
+
+@st.composite
+def printed_matrices(draw):
+    n = draw(st.integers(1, 6))
+    m = np.empty((n, n), dtype=np.complex128)
+    m.real = np.array(draw(st.lists(matrix_parts, min_size=n * n, max_size=n * n))).reshape(n, n)
+    m.imag = np.array(draw(st.lists(matrix_parts, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return m
+
+
+def edge_matrix():
+    m = np.empty((len(IM_EDGES), 2 * len(IM_EDGES)), dtype=np.complex128)
+    m.real = -0.0
+    m.imag = np.outer(IM_EDGES, [1.0] * len(IM_EDGES) + [-1.0] * len(IM_EDGES))
+    return m
+
+
 class TestMain:
-    @given(report_trees)
+    @given(report_trees | st.lists(pair_rows, min_size=1, max_size=3))
+    @example({"rows": PAIR_ROWS})
+    @example(
+        {
+            "nan": [[0.1, 0.2], [math.nan, 0.3]],
+            "inf": [[math.inf, 0.0]],
+            "-inf": [[0.5, -math.inf], [0.1, 0.2]],
+            "tuple pairs": [(0.1, 0.2), (0.3, 0.4)],
+            "tuple row": ([0.1, 0.2], [0.3, 0.4]),
+            "int pairs": [[1, 0], [0, -12345678901234567890]],
+            "bool pairs": [[True, False], [False, True]],
+            "float and int": [[0.1, 1], [0.2, 0.3]],
+            "numpy float": [[np.float64(0.1), 0.2]],
+            "three floats": [[0.1, 0.2, 0.3]],
+            "ragged": [[0.1, 0.2], [0.3]],
+            "nested pair": [[[0.1], 0.2]],
+        }
+    )
     @example(
         {
             "floats": [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 0.1],
@@ -514,6 +561,12 @@ class TestMain:
     @settings(max_examples=200, deadline=None)
     def test_report_writer_is_json_dumps_indent_1(self, obj):
         assert cli._report_json(obj) == json.dumps(obj, indent=1)
+
+    @given(printed_matrices())
+    @example(edge_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_printer_is_the_per_cell_oracle(self, m):
+        assert cli._format_matrix(m) == ref.format_matrix(m)
 
     def test_interleaved_calls_write_what_first_calls_write(self, tmp_path, capsys):
         outputs = [tmp_path / "report.json", tmp_path / "grid.csv", tmp_path / "grid.contours.json"]

@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from entgeo import (
     state_at,
     validate_state,
 )
-from entgeo.cli import resolve_plane
+from entgeo.cli import main, resolve_plane
+from entgeo.linalg import DEFAULT_TOL, eigvals_hermitian
 from entgeo.projection import above_noise_floor
 
 import reference_projection as ref
@@ -200,6 +203,41 @@ class TestClosestPtState:
                 violations.append(seed)
         assert rank2 > 20
         assert not violations, f"{len(violations)}/{rank2} rank-2 cases had PSD rho_s"
+
+
+class TestRhoSLeastEigenvalue:
+    """rho_s's least eigenvalue comes from the eigenvalue-only solver; its flags read as eigh's."""
+
+    @pytest.mark.parametrize(
+        "dims, count",
+        [((2, 2), 10**4), ((2, 3), 1000), ((3, 3), 1000), ((2, 4), 1000), ((3, 4), 1000), ((4, 4), 1000)],
+        ids=["2x2", "2x3", "3x3", "2x4", "3x4", "4x4"],
+    )
+    def test_flags_match_eigh(self, dims, count):
+        res = closest_pt_states(sample_hs_random_stack(dims[0] * dims[1], range(count)), dims)
+        want = np.linalg.eigh(res.rho_s)[0][:, 0]
+        assert np.abs(res.rho_s_min_eig - want).max() <= 1e-15
+        positive = want >= -DEFAULT_TOL
+        assert np.array_equal(res.rho_s_is_positive, positive)
+        assert np.array_equal(res.rho_s_is_positive & (res.rho_s_min_eig < 0), positive & (want < 0))
+
+    def test_w_stays_borderline(self, w_state, tmp_path, capsys):
+        # rho_s has exact zero eigenvalues; both solvers read the least as -3.59e-17
+        res = closest_pt_states(w_state.matrix[None], w_state.dims)
+        assert -1e-16 < res.rho_s_min_eig[0] < 0
+        assert -1e-16 < np.linalg.eigh(res.rho_s[0])[0][0] < 0
+        assert main(["project", "--state", "w", "--json", str(tmp_path / "w.json")]) == 0
+        assert "rho_s PSD:            yes (borderline)" in capsys.readouterr().out
+        assert json.loads((tmp_path / "w.json").read_text())["borderline"] is True
+
+    @pytest.mark.parametrize(
+        "a", [np.zeros((2, 3)), np.array([[0, 1], [0, 0]]), np.diag([np.nan, 1])], ids=["non-square", "non-hermitian", "nan"]
+    )
+    def test_checks_its_input_as_eig_hermitian_does(self, a):
+        with pytest.raises(ValueError) as want:
+            eig_hermitian(a)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            eigvals_hermitian(a)
 
 
 class TestDistanceClosedForm:

@@ -301,7 +301,69 @@ HUGE_ENTRY = [[[0, 1.34078079e154] if i == j == 0 else [0, 0] for j in range(4)]
 BAD_DIMS = {"overflow": "[1e400, 2]", "negative": "[-2, -2]", "fractional": "[2.9, 2]", "bool": "[true, 4]"}
 
 
+# 2x2 matrices of dims (1, 2), each wrong in one way that the parser, not validate_state, rejects
+MALFORMED_MATRICES = {
+    "string entry": '[[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]',
+    "string pair": '[["05", [0, 0]], [[0, 0], [0.5, 0]]]',
+    "null entry": "[[[0.5, null], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "dict pair": '[[{"re": 0.5, "im": 0}, [0, 0]], [[0, 0], [0.5, 0]]]',
+    "three-element pair": "[[[0.5, 0, 0], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "one-element pair": "[[[0.5], [0]], [[0], [0.5]]]",
+    "ragged rows": "[[[0.5, 0], [0, 0]], [[0.5, 0]]]",
+    "ragged pairs": "[[[0.5, 0], [0, 0, 0]], [[0, 0], [0.5, 0]]]",
+    "too-deep rows": "[[[[0.5, 0]], [[0, 0]]], [[[0, 0]], [[0.5, 0]]]]",
+    "too-deep entry": "[[[[0.5], 0], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "integer too large for a float": f"[[[{'9' * 400}, 0], [0, 0]], [[0, 0], [0.5, 0]]]",
+    "number": "0.5",
+    "string": '"[[[0.5, 0]]]"',
+    "object": '{"0": [[0.5, 0], [0, 0]]}',
+}
+
+
+def per_pair_matrix(text: str):
+    """The matrix, or the error text, that the per-pair ``complex(re, im)`` parser gave."""
+    doc = json.loads(text)
+    try:
+        m = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+        return validate_state(m, tuple(doc["dims"])).matrix
+    except (TypeError, ValueError, OverflowError) as exc:
+        return str(exc)
+
+
 class TestJson:
+    @pytest.mark.parametrize("matrix", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+    def test_malformed_matrix(self, matrix):
+        with pytest.raises(ValueError, match="^malformed state document: "):
+            state_from_json(f'{{"dims": [1, 2], "matrix": {matrix}}}')
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+            "[[[true, false], [false, false]], [[false, false], [false, false]]]",
+            "[[[0.5, -0.0], [0, 0.5]], [[0, -0.5], [0.5, 0]]]",
+            "[[[true, -0.0], [0, 0]], [[0, 0.0], [false, 0]]]",
+            "[[[-0.0, 0], [0, -0.0]], [[0, -0.0], [1, -0.0]]]",
+            "[[[0.5, 0], [0, 0]], [[0, 0], [18446744073709551617, 0]]]",
+            "[[[0.5, 0], [0, 0]], [[0, 0], [100000000000000000000000000000, 0.5]]]",
+        ],
+        ids=["ints", "bools", "floats-and-ints", "bool-int-float", "signed-zeros", "beyond-64-bit-int", "beyond-64-bit-int-and-float"],
+    )
+    def test_numbers_parse_as_per_pair_complex(self, matrix):
+        text = f'{{"dims": [1, 2], "matrix": {matrix}}}'
+        want = per_pair_matrix(text)
+        try:
+            got = state_from_json(text).matrix
+        except ValueError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
     @pytest.mark.parametrize("dims", BAD_DIMS.values(), ids=BAD_DIMS.keys())
     def test_dims_must_be_positive_integers(self, dims):
         text = f'{{"dims": {dims}, "matrix": {json.dumps(MAX_MIXED_4)}}}'
