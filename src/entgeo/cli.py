@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -34,50 +33,6 @@ def _format_matrix(m: np.ndarray) -> str:
     keep[:, 1::2] = show_im
     values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)[keep]
     return _matrix_template(show_im.tobytes(), m.shape[1]) % tuple(values.tolist())
-
-
-_encode_scalar = json.JSONEncoder().encode
-
-
-@functools.lru_cache(maxsize=64)
-def _pair_row_template(n: int, indent: str) -> str:
-    """The ``json.dumps(indent=1)`` layout of n [re, im] pairs at ``indent``, a %r slot per float."""
-    inner, pair_indent = indent + " ", indent + "  "
-    pair = f"[\n{pair_indent}%r,\n{pair_indent}%r\n{inner}]"
-    return f"[\n{inner}" + f",\n{inner}".join([pair] * n) + f"\n{indent}]"
-
-
-def _report_json(obj, indent: str = "") -> str:
-    """Exactly ``json.dumps(obj, indent=1)`` for str-keyed dicts, lists, tuples and JSON scalars.
-
-    ``json.dumps`` with an indent runs its pure-Python encoder; this writes the
-    same layout and hands each key and non-finite or non-float scalar to the C
-    encoder. Finite floats take ``float.__repr__``, as ``json`` writes them; a
-    row of [re, im] pairs that are all finite floats is one ``%r`` template.
-    """
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
-            # a list: tuples built from an iterator are resized, and once freed they pile up
-            # in CPython's tuple free lists (2000 per size up to 20), about 1 MB over a run
-            flat = list(itertools.chain.from_iterable(obj))
-            if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
-                return _pair_row_template(len(obj), indent) % tuple(flat)
-        inner = indent + " "
-        items = (",\n" + inner).join(
-            [float.__repr__(v) if type(v) is float and math.isfinite(v) else _report_json(v, inner) for v in obj]
-        )
-        return f"[\n{inner}{items}\n{indent}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + " "
-        items = (",\n" + inner).join([f"{_encode_scalar(k)}: {_report_json(v, inner)}" for k, v in obj.items()])
-        return f"{{\n{inner}{items}\n{indent}}}"
-    return _encode_scalar(obj)
 
 
 def _resolve_state(spec: str) -> states.DensityMatrix:
@@ -114,8 +69,8 @@ def cmd_project(args) -> int:
     distance_exact = float(np.linalg.norm(rho.matrix - res.rho_s[0]))
     distance_closed_form = float(projection.distance_closed_form(res.d, res.kept)[0])
     is_positive = bool(res.rho_s_is_positive[0])
-    # positive only by grace of the tolerance: min eigenvalue in [-1e-9, 0)
-    borderline = is_positive and bool(res.rho_s_min_eig[0] < 0)
+    # positive only by grace of the tolerance: min eigenvalue in [-1e-9, -1e-10)
+    borderline = is_positive and not projection.above_noise_floor(res.rho_s_min_eig[0])
 
     print(f"state: {args.state}  dims {rho.dims[0]}x{rho.dims[1]}  PT over B")
     print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in spectrum))
@@ -149,7 +104,7 @@ def cmd_project(args) -> int:
             "d_min": spectrum[0],
             "rho_s": states.state_to_dict(states.DensityMatrix(res.rho_s[0], rho.dims)),
         }
-        _write_text(args.json, _report_json(report))
+        _write_text(args.json, json.dumps(report))
     return EXIT_OK
 
 

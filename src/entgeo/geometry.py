@@ -345,7 +345,7 @@ def contours_to_json(entries) -> str:
         {
             "field": field_name,
             "level": level,
-            "polylines": [[[float(a), float(b)] for a, b in line] for line in lines],
+            "polylines": [line.tolist() for line in lines],
         }
         for field_name, level, lines in entries
     ]

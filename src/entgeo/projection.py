@@ -10,12 +10,14 @@ over A all agree: sigma^{T_A} = (sigma^T)^{T_B}, and sigma^T is a state.
 
 Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
 ``linalg.DEFAULT_TOL`` (1e-9), and rho_s is positive by the same rule: at
->= -1e-9, borderline in [-1e-9, 0). ``PPT_EIG_TOL`` (1e-10) is the eigensolver
-noise floor of the one predicate :func:`above_noise_floor`: a least eigenvalue
->= -1e-10 counts as PSD, for PT spectra (PPT; the negativity and the
-robustness read 0) and scan cells (``ScanGrid.is_state``, ``is_ppt``). Contour
-points whose interpolated least eigenvalue is >= -``STATE_BODY_SLACK`` (1e-6)
-are in the state body.
+>= -1e-9. ``PPT_EIG_TOL`` (1e-10) is the eigensolver noise floor of the one
+predicate :func:`above_noise_floor`: a least eigenvalue >= -1e-10 counts as
+PSD, for PT spectra (PPT; the negativity and the robustness read 0), scan
+cells (``ScanGrid.is_state``, ``is_ppt``) and rho_s, which is borderline (PSD
+only by the input tolerance) in [-1e-9, -1e-10): exact zero eigenvalues read
+as roundoff of either sign are not borderline. Contour points whose
+interpolated least eigenvalue is >= -``STATE_BODY_SLACK`` (1e-6) are in the
+state body.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import json
-import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from entgeo.states import state_to_dict
 
 import reference_projection as ref
 
-
 def write_state(path, rho):
     """Write a state file in the interchange schema."""
     path.write_text(json.dumps(state_to_dict(rho)))
@@ -31,6 +31,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def hexes(values):
+    """Every float of a nested list or array as float.hex, so -0.0 and 0.0 differ."""
+    return [float(x).hex() for x in np.ravel(np.asarray(values, dtype=float))]
+
+
+def readme_report_keys():
+    """The `project --json` keys in the order of the README's table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("`project --json PATH` writes")[1].split("\n\n")[1]
+    return [key for row in re.findall(r"^\| (`.*?) \|", table, flags=re.M) for key in re.findall(r"`(\w+)`", row)]
 
 
 def unreachable(*args, **kwargs):
@@ -195,6 +207,27 @@ class TestProject:
         assert report["distance_closed_form"] == want.distance_closed_form
         assert report["d_min"] == want.d_min
         assert report["rho_s_is_positive"] == want.rho_s_is_positive
+
+    @pytest.mark.parametrize("state", ["w", "bell", "hs-4x4"])
+    def test_report_is_json_dumps_of_the_projection(self, tmp_path, capsys, state):
+        if state == "hs-4x4":
+            path = tmp_path / "hs.json"
+            write_state(path, ref.sample_hs_random(16, 0, dims=(4, 4)))
+            rho, state = state_from_json(path.read_text()), str(path)
+        else:
+            rho = make_named({"w": "w_state", "bell": "bell_psi_plus"}[state])
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "project", "--state", state, "--json", str(out_path))
+        assert code == 0
+        text = out_path.read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report)
+        assert list(report) == readme_report_keys()
+        res = closest_pt_states(rho.matrix[None], rho.dims)
+        rho_s = res.rho_s[0]
+        assert hexes(report["rho_s"]["matrix"]) == hexes(np.stack([rho_s.real, rho_s.imag], axis=-1))
+        assert hexes(report["pt_spectrum"]) == hexes(res.d[0])
+        assert hexes([report["distance_exact"]]) == hexes([np.linalg.norm(rho.matrix - rho_s)])
 
     def test_report_decomposes_rho_pt_and_rho_s_once_each(self, capsys, monkeypatch):
         # a named state skips validate_state, so these are the projection's own solves:
@@ -458,17 +491,6 @@ class TestScan:
         assert code == 3
 
 
-report_scalars = (
-    st.none() | st.booleans() | st.integers() | st.floats() | st.floats().map(np.float64) | st.text(max_size=8)
-)
-report_trees = st.recursive(
-    report_scalars,
-    lambda kids: st.lists(kids, max_size=4)
-    | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
-    max_leaves=30,
-)
-
 # argv pieces for `entgeo project`; no '/', so every path stays in the test's directory
 argv_tokens = st.one_of(
     st.sampled_from(
@@ -502,13 +524,6 @@ scan_tokens = st.one_of(
 )
 
 
-# rows of [re, im] pairs, as a report writes a matrix; every length up to a 4x4 state's 16 columns
-PAIR_ROW_FLOATS = [-0.0, 5e-324, 1e16, 0.1]
-PAIR_ROWS = [
-    [[PAIR_ROW_FLOATS[(2 * j) % 4], PAIR_ROW_FLOATS[(2 * j + n) % 4]] for j in range(n)] for n in range(1, 17)
-]
-pair_rows = st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=16)
-
 # per-cell imaginary parts on both sides of the 5e-7 display threshold, and signed zeros
 IM_EDGES = [5e-7, np.nextafter(5e-7, 0), np.nextafter(5e-7, 1), -0.0, 0.0]
 matrix_parts = st.floats() | st.sampled_from(IM_EDGES + [-x for x in IM_EDGES])
@@ -531,37 +546,6 @@ def edge_matrix():
 
 
 class TestMain:
-    @given(report_trees | st.lists(pair_rows, min_size=1, max_size=3))
-    @example({"rows": PAIR_ROWS})
-    @example(
-        {
-            "nan": [[0.1, 0.2], [math.nan, 0.3]],
-            "inf": [[math.inf, 0.0]],
-            "-inf": [[0.5, -math.inf], [0.1, 0.2]],
-            "tuple pairs": [(0.1, 0.2), (0.3, 0.4)],
-            "tuple row": ([0.1, 0.2], [0.3, 0.4]),
-            "int pairs": [[1, 0], [0, -12345678901234567890]],
-            "bool pairs": [[True, False], [False, True]],
-            "float and int": [[0.1, 1], [0.2, 0.3]],
-            "numpy float": [[np.float64(0.1), 0.2]],
-            "three floats": [[0.1, 0.2, 0.3]],
-            "ragged": [[0.1, 0.2], [0.3]],
-            "nested pair": [[[0.1], 0.2]],
-        }
-    )
-    @example(
-        {
-            "floats": [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 0.1],
-            "text": 'ü "quoted" back\\slash \n\t\u2028 \U0001f600',
-            "scalars": (0, -12345678901234567890, True, False, None),
-            "empty": [[], {}, ()],
-            "nested": {"a": {"b": [[1.5, -2.5]]}},
-        }
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_report_writer_is_json_dumps_indent_1(self, obj):
-        assert cli._report_json(obj) == json.dumps(obj, indent=1)
-
     @given(printed_matrices())
     @example(edge_matrix())
     @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entgeo import (
+    DensityMatrix,
     closest_pt_states,
     distance_closed_form,
     eig_hermitian,
@@ -25,6 +26,7 @@ from entgeo import (
 from entgeo.cli import main, resolve_plane
 from entgeo.linalg import DEFAULT_TOL, eigvals_hermitian
 from entgeo.projection import above_noise_floor
+from entgeo.states import state_to_dict
 
 import reference_projection as ref
 
@@ -219,16 +221,36 @@ class TestRhoSLeastEigenvalue:
         assert np.abs(res.rho_s_min_eig - want).max() <= 1e-15
         positive = want >= -DEFAULT_TOL
         assert np.array_equal(res.rho_s_is_positive, positive)
-        assert np.array_equal(res.rho_s_is_positive & (res.rho_s_min_eig < 0), positive & (want < 0))
+        borderline = res.rho_s_is_positive & ~above_noise_floor(res.rho_s_min_eig)
+        assert np.array_equal(borderline, positive & ~above_noise_floor(want))
 
-    def test_w_stays_borderline(self, w_state, tmp_path, capsys):
-        # rho_s has exact zero eigenvalues; both solvers read the least as -3.59e-17
+    def test_w_is_not_borderline(self, w_state, tmp_path, capsys):
+        # rho_s has exact zero eigenvalues, read as roundoff of either sign: above the noise floor
         res = closest_pt_states(w_state.matrix[None], w_state.dims)
-        assert -1e-16 < res.rho_s_min_eig[0] < 0
-        assert -1e-16 < np.linalg.eigh(res.rho_s[0])[0][0] < 0
+        assert abs(res.rho_s_min_eig[0]) < 1e-16
         assert main(["project", "--state", "w", "--json", str(tmp_path / "w.json")]) == 0
-        assert "rho_s PSD:            yes (borderline)" in capsys.readouterr().out
-        assert json.loads((tmp_path / "w.json").read_text())["borderline"] is True
+        assert "rho_s PSD:            yes\n" in capsys.readouterr().out
+        assert json.loads((tmp_path / "w.json").read_text())["borderline"] is False
+
+    @pytest.mark.parametrize("dims", [(1, 3), (1, 4)], ids=["1x3", "1x4"])
+    def test_rank_deficient_rho_s_reads_alike_under_either_solver(self, dims, tmp_path, capsys):
+        # with dA = 1 the PT is the full transpose and rho_s = rho, so a rank-2 rho has n - 2
+        # exact zero eigenvalues; eigh and eigvalsh read their least with either sign
+        n = dims[0] * dims[1]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            res = closest_pt_states(rho[None], dims)
+            for min_eig in (res.rho_s_min_eig[0], np.linalg.eigh(res.rho_s[0])[0][0]):
+                assert abs(min_eig) < 1e-15
+                assert above_noise_floor(min_eig)
+            path = tmp_path / "rank2.json"
+            path.write_text(json.dumps(state_to_dict(DensityMatrix(rho, dims))))
+            assert main(["project", "--state", str(path), "--json", str(tmp_path / "r.json")]) == 0
+            assert "rho_s PSD:            yes\n" in capsys.readouterr().out
+            assert json.loads((tmp_path / "r.json").read_text())["borderline"] is False
 
     @pytest.mark.parametrize(
         "a", [np.zeros((2, 3)), np.array([[0, 1], [0, 0]]), np.diag([np.nan, 1])], ids=["non-square", "non-hermitian", "nan"]
