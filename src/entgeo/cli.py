@@ -110,8 +110,9 @@ def cmd_project(args) -> int:
 
 # States per batched block in cmd_stats at n = 4. A block holds
 # _STATS_BLOCK * 16 matrix elements whatever n, so the matrix stacks are
-# bounded whatever --samples and --dims are. Every state is computed on its
-# own, so the block size changes no printed value.
+# bounded whatever --samples and --dims are. The blocks are consecutive draws
+# from one stream, and every state is computed on its own, so the block size
+# changes no printed value.
 _STATS_BLOCK = 512
 
 # Upper bound on --samples: two qubits run at about 5 * 10^4 states/s, so a
@@ -128,19 +129,21 @@ def cmd_stats(args) -> int:
     n = da * db
     samples = args.samples
     rows = max(1, _STATS_BLOCK * 16 // n**2)
+    if args.seed < 0:
+        raise ValueError(f"seeds must be non-negative, got {args.seed}")
+    rng = np.random.default_rng(args.seed)
     npt = 0
     positive = 0
     rank2 = 0
     rank2_positive = 0
     neg_sum = 0.0
     for start in range(0, samples, rows):
-        seeds = range(args.seed + start, args.seed + min(start + rows, samples))
-        rhos = states.sample_hs_random_stack(n, seeds)
+        rhos = states.sample_hs_random_stack(rng, n, min(rows, samples - start))
         d, u = linalg.eig_hermitian(states.partial_transpose(rhos, (da, db)))
         # only the NPT states go on to the projection
         is_npt = ~projection.above_noise_floor(d[:, 0])
         res = projection.project_pt_spectra(d[is_npt], u[is_npt], (da, db))
-        # one at a time in seed order, so the sum rounds as a per-state loop's would
+        # one at a time in draw order, so the sum rounds as a per-state loop's would
         for value in projection.pt_negativity(res.d).tolist():
             neg_sum += value
         is_rank2 = res.rank == 2
@@ -179,7 +182,7 @@ def resolve_plane(spec: str) -> geometry.Plane:
     m = re.fullmatch(r"random:(\d+)", spec)
     if m:
         seed = int(m.group(1))
-        rho1, rho2 = states.sample_hs_random_stack(4, [seed, seed + 1])
+        rho1, rho2 = (states.sample_hs_random_stack(np.random.default_rng(s), 4, 1)[0] for s in (seed, seed + 1))
         return geometry.build_plane(states.DensityMatrix(rho1, (2, 2)), states.DensityMatrix(rho2, (2, 2)))
     if "," in spec:
         p1, p2 = spec.split(",", 1)

@@ -5,8 +5,9 @@ Implements the three-step closest-partially-transposed-state algorithm
 undo the partial transpose). The ascending PT spectrum of step 1 is the one
 spectral core: the negativity (:func:`pt_negativity`), the robustness against
 mixing with the identity (:func:`pt_robustness`) and the closed-form distance
-(:func:`distance_closed_form`) are pure functions of it. The PT is over B;
-over A all agree: sigma^{T_A} = (sigma^T)^{T_B}, and sigma^T is a state.
+to rho_s (:func:`distance_closed_form`, exact for every bipartition) are pure
+functions of it. The PT is over B; over A all agree: sigma^{T_A} =
+(sigma^T)^{T_B}, and sigma^T is a state.
 
 Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
 ``linalg.DEFAULT_TOL`` (1e-9), and rho_s is positive by the same rule: at
@@ -75,13 +76,14 @@ def project_simplex_psd(d):
 
 
 def distance_closed_form(d, kept):
-    """Spectral distance formula sqrt((sum_{Ip} d + sum_{In} d)^2/n_p + sum_{In} d^2), along the last axis.
+    """Spectral distance ||rho - rho_s||_2 = sqrt((sum_{dropped} d)^2/n_p + sum_{dropped} d^2), along the last axis.
 
-    I_n are the negative eigenvalue indices, I_p the dropped nonnegative ones,
-    n_p the kept count; ``kept`` is the support mask of ``d``'s shape from
-    :func:`project_simplex_psd`. Exact whenever every dropped nonnegative
-    eigenvalue is zero; for strictly positive ones it omits their quadratic
-    residual and slightly undershoots ||rho - rho_s||_2.
+    The dropped eigenvalues are those outside the support mask ``kept`` of
+    :func:`project_simplex_psd`, of ``d``'s shape, and n_p is the kept count.
+    The PT and the eigenbasis keep the Hilbert-Schmidt norm, so for a trace-1
+    spectrum this is ||d - e2||_2 = sqrt(sum_{dropped} d^2 + n_p lam^2) with
+    lam = (sum_{dropped} d)/n_p: exact for every bipartition. Where the
+    dropped set is the negative set, it is the paper's formula.
     """
     d = np.asarray(d, dtype=float)
     kept = np.asarray(kept)
@@ -90,10 +92,9 @@ def distance_closed_form(d, kept):
     n_p = kept.sum(axis=-1)
     if (n_p == 0).any():
         raise ValueError("kept set is empty")
-    neg = np.minimum(d, 0.0)
-    dropped_pos = np.where(~kept & (d >= 0), d, 0.0)
-    s = np.cumsum(dropped_pos, axis=-1)[..., -1] + np.cumsum(neg, axis=-1)[..., -1]
-    return np.sqrt(s * s / n_p + np.cumsum(neg * neg, axis=-1)[..., -1])
+    dropped = np.where(kept, 0.0, d)
+    s = np.cumsum(dropped, axis=-1)[..., -1]
+    return np.sqrt(s * s / n_p + np.cumsum(dropped * dropped, axis=-1)[..., -1])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import functools
 import json
-import operator
 import re
 from dataclasses import dataclass
 
@@ -119,7 +117,6 @@ def _quasi_distillable() -> DensityMatrix:
 _NAMED: dict[str, callable] = {
     "w_state": _w_state,
     "bell_psi_plus": lambda: _pure([0, 1, 1, 0], (2, 2)),
-    "bell_psi_minus_like": lambda: _pure([0, 1, -1, 0], (2, 2)),
     "ff1_rho2": lambda: _pure([1, 0, 0, 0], (2, 2)),
     "ff2_rho2": lambda: _pure([1, 1, 0, 0], (2, 2)),
     "ff3_rho2": lambda: _pure([0, 1, 0, 0], (2, 2)),
@@ -155,102 +152,18 @@ def make_named(name: str) -> DensityMatrix:
     raise ValueError(f"unknown named state {name!r}; known: {', '.join(NAMED_STATE_TAGS)}")
 
 
-# Seeding: row i of a sample stack comes from np.random.default_rng(seeds[i]),
-# i.e. Generator(PCG64(SeedSequence(seeds[i]))). SeedSequence's hash
-# (numpy/random/bit_generator.pyx, fixed by NumPy's stream-compatibility
-# policy) runs here with uint32 array arithmetic over a whole block of seeds;
-# PCG64 then seeds itself from each row's words. Explicit uint32 scalars keep
-# every product uint32, wrapping as NumPy's C code does, under both legacy and
-# NEP 50 promotion.
-_POOL_SIZE = 4
-_XSHIFT = np.uint32(16)
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE)]
+def sample_hs_random_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Stack of ``count`` Hilbert-Schmidt-random (n, n) states, drawn in order from ``rng``.
 
-
-def _hash_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constant before the first of ``calls`` hashmix steps and after each, as a uint32 column."""
-    h = [init]
-    for _ in range(calls):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array(h, dtype=np.uint32)[:, None]
-
-
-_STATE_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
-
-
-def _hashmix(value: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """One hashmix step per row of ``value``; row k uses chain[k] and chain[k + 1]."""
-    value = (value ^ chain[:-1]) * chain[1:]
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return r ^ (r >> _XSHIFT)
-
-
-def _seed_words(seeds: list[int]) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every seed, as an (S, 4) array."""
-    # little-endian 32-bit words, zero-padded: a zero word hashes as NumPy's pool padding
-    width = max(_POOL_SIZE, -(-max(seeds, default=0).bit_length() // 32))
-    raw = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
-    entropy = np.frombuffer(raw, "<u4").reshape(-1, width).T.astype(np.uint32)
-    chain = _hash_chain(0x43B0D7E5, 0x931E8875, 4 * width)
-    pool = _hashmix(entropy[:_POOL_SIZE], chain[:5])
-    for src, dst in enumerate(_OTHER_WORDS):
-        k = 4 + 3 * src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[k:k + 4]))
-    # words beyond the pool, each mixed into every pool word; rows whose seed
-    # has no such word skip the step, as NumPy's loop ends at the seed's length
-    for src in range(_POOL_SIZE, width):
-        k = 4 * src
-        mixed = _mix(pool, _hashmix(entropy[src], chain[k:k + 5]))
-        pool = np.where(entropy[src:].any(axis=0), mixed, pool)
-    state = _hashmix(np.concatenate((pool, pool)), _STATE_CHAIN)
-    # pairs of words read as little-endian uint64, as generate_state does
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _seed_words_type() -> type:
-    """A seed sequence that hands PCG64 one seed's precomputed state words.
-
-    PCG64 seeds itself from ``generate_state(4, np.uint64)`` and asks for
-    nothing else, so that is the one request answered.
-
-    Built on first use: NumPy loads numpy.random lazily, and importing entgeo
-    should not load it for commands that draw no random state.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return SeedWords
-
-
-def sample_hs_random_stack(n: int, seeds) -> np.ndarray:
-    """Stack of Hilbert-Schmidt-random states, one (n, n) matrix per seed in ``seeds``.
-
-    Row i is rho = G G^dagger / tr(G G^dagger) for the square Ginibre matrix G
-    drawn from ``np.random.default_rng(seeds[i])``: the real part first, then
-    the imaginary part. Deterministic per seed, whatever the other seeds.
-    Seeds are non-negative integers of any width.
+    Each state is rho = G G^dagger / tr(G G^dagger) for a square Ginibre
+    matrix G, the real part drawn first, then the imaginary part. NumPy's
+    normal draws do not depend on how a stream is split into calls, so
+    ``count = a + b`` states are the next ``a`` states and then the ``b``
+    after them.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    seeds = [operator.index(s) for s in seeds]
-    if min(seeds, default=0) < 0:
-        raise ValueError(f"seeds must be non-negative, got {next(s for s in seeds if s < 0)}")
-    seed_words = _seed_words_type()
-    x = np.empty((len(seeds), 2, n, n))
-    for i, words in enumerate(_seed_words(seeds)):
-        np.random.Generator(np.random.PCG64(seed_words(words))).standard_normal(out=x[i])
+    x = rng.standard_normal((count, 2, n, n))
     g = x[:, 0] + 1j * x[:, 1]
     rho = g @ g.conj().swapaxes(-1, -2)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]

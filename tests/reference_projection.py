@@ -2,10 +2,12 @@
 
 These are the original one-matrix-at-a-time versions of ``entgeo``'s
 Hilbert-Schmidt sampler, partial transpose, Hermitian eigensolver, simplex
-projection, closed-form distance, ``closest_pt_state`` with its result type,
-the ``entgeo stats`` loop and the ``entgeo project`` matrix printer, kept
-unchanged as a test oracle: the batched library code must reproduce their
-output exactly (same bits, same printed lines).
+projection, the paper's closed-form distance, ``closest_pt_state`` with its
+result type, the ``entgeo stats`` loop and the ``entgeo project`` matrix
+printer, kept as a test oracle: the batched library code must reproduce their
+output exactly (same bits, same printed lines). The sampler and the stats loop
+draw one state at a time from one stream; the paper's distance formula is the
+library's wherever the dropped eigenvalues are the negative ones.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ class ProjectionResult:
         return len(self.kept_indices)
 
 
-def sample_hs_random(n: int, rng_seed: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
-    rng = np.random.default_rng(rng_seed)
+def sample_hs_random(n: int, rng, dims: tuple[int, int] | None = None) -> DensityMatrix:
+    """The next state of ``rng``: a Generator, or a seed for a new one."""
+    rng = np.random.default_rng(rng)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = g @ g.conj().T
     rho = rho / np.trace(rho).real
@@ -100,7 +103,7 @@ def project_simplex_psd(d, trace_target: float = 1.0):
 
 
 def distance_closed_form(d, kept) -> float:
-    """Spectral distance formula sqrt((sum_{Ip} d + sum_{In} d)^2/n_p + sum_{In} d^2).
+    """The paper's spectral distance formula sqrt((sum_{Ip} d + sum_{In} d)^2/n_p + sum_{In} d^2).
 
     I_n are the negative eigenvalue indices, I_p the dropped nonnegative ones,
     n_p the kept count. Exact whenever every dropped nonnegative eigenvalue is
@@ -116,6 +119,11 @@ def distance_closed_form(d, kept) -> float:
     dropped_pos = [x for i, x in enumerate(d) if i not in kept and x >= 0]
     s = sum(dropped_pos) + sum(neg)
     return float(np.sqrt(s * s / n_p + sum(x * x for x in neg)))
+
+
+def drops_only_negatives(d, kept) -> bool:
+    """True when the indices outside ``kept`` are exactly the negative ones of ``d``: there the paper's formula is exact."""
+    return set(range(len(d))) - set(kept) == {i for i, x in enumerate(d) if x < 0}
 
 
 def closest_pt_state(rho: DensityMatrix, subsystem: str = "B") -> ProjectionResult:
@@ -152,8 +160,9 @@ def stats_lines(samples: int, seed: int, dims: tuple[int, int]) -> list[str]:
     rank2 = 0
     rank2_positive = 0
     neg_sum = 0.0
-    for k in range(samples):
-        rho = sample_hs_random(n, seed + k, dims=(da, db))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        rho = sample_hs_random(n, rng, dims=(da, db))
         res = closest_pt_state(rho)
         if res.d_min >= -PPT_EIG_TOL:
             continue

@@ -41,19 +41,19 @@ def report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def hs_states():
-    """10^4 seed-pinned HS-random two-qubit states, one row per seed."""
-    return sample_hs_random_stack(4, range(N_SAMPLES))
+    """The first 10^4 HS-random two-qubit states of stream 0."""
+    return sample_hs_random_stack(np.random.default_rng(0), 4, N_SAMPLES)
 
 
 @pytest.fixture(scope="module")
 def hs_sweep(hs_states):
-    """Their projections, one row per seed."""
+    """Their projections, one row per state."""
     return closest_pt_states(hs_states, (2, 2))
 
 
 @pytest.fixture(scope="module")
 def hs_distances(hs_states, hs_sweep):
-    """||rho - rho_s||_2 per seed, one norm per matrix as the project report takes it."""
+    """||rho - rho_s||_2 per state, one norm per matrix as the project report takes it."""
     return np.array([np.linalg.norm(m) for m in hs_states - hs_sweep.rho_s])
 
 
@@ -131,7 +131,8 @@ def test_criterion_4_measured_value_is_reported(hs_sweep, capsys):
     # seed-pinned, and reported as measured
     npt = npt_rows(hs_sweep)
     frac = hs_sweep.rho_s_is_positive[npt].sum() / npt.sum()
-    again = [closest_pt_states(sample_hs_random_stack(4, [seed]), (2, 2)) for seed in range(100)]
+    rng = np.random.default_rng(0)
+    again = [closest_pt_states(sample_hs_random_stack(rng, 4, 1), (2, 2)) for _ in range(100)]
     frac_again = [bool(r.rho_s_is_positive[0]) for r in again]
     assert frac_again == hs_sweep.rho_s_is_positive[:100].tolist()
     print(f"\nACCEPTANCE 4 (measured): positive-rho_s fraction {frac:.4f}")
@@ -154,41 +155,41 @@ def test_criterion_6_property_suites(hs_states, hs_sweep, hs_distances):
     failures = []
 
     # PT involution and HS-norm preservation
-    for seed, rho in enumerate(hs_states[:200]):
+    for i, rho in enumerate(hs_states[:200]):
         pt = partial_transpose(rho, (2, 2))
         if not np.array_equal(partial_transpose(pt, (2, 2)), rho):
-            failures.append(f"involution seed {seed}")
+            failures.append(f"involution state {i}")
         if abs(np.linalg.norm(pt) - np.linalg.norm(rho)) > 1e-12:
-            failures.append(f"norm preservation seed {seed}")
+            failures.append(f"norm preservation state {i}")
 
     # projection idempotence on PPT states
     moved = hs_distances[:2000] > 1e-10
-    for seed in np.flatnonzero((hs_sweep.d[:2000, 0] >= -1e-10) & moved):
-        failures.append(f"idempotence seed {seed}")
+    for i in np.flatnonzero((hs_sweep.d[:2000, 0] >= -1e-10) & moved):
+        failures.append(f"idempotence state {i}")
 
     # linear-interpolation law for mixtures with I/n
-    for seed, rho in enumerate(hs_states[:50]):
+    for i, rho in enumerate(hs_states[:50]):
         d = np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))
         for u in (0.2, 0.5, 0.8):
             mixed = validate_state((1 - u) * np.eye(4) / 4 + u * rho, (2, 2))
             dm = np.linalg.eigvalsh(partial_transpose(mixed.matrix, mixed.dims))
             if not np.allclose(dm, (1 - u) / 4 + u * d, atol=1e-10):
-                failures.append(f"interpolation seed {seed} u {u}")
+                failures.append(f"interpolation state {i} u {u}")
 
     # robustness certificate
-    for seed, rho in enumerate(hs_states[:100]):
-        t = pt_robustness(hs_sweep.d[seed])
+    for i, rho in enumerate(hs_states[:100]):
+        t = pt_robustness(hs_sweep.d[i])
         if t == 0.0:
             continue
         pt = partial_transpose(rho, (2, 2))
         min_eig = np.linalg.eigvalsh((1 - t) * pt + t / 4 * np.eye(4))[0]
         if abs(min_eig) > 1e-10:
-            failures.append(f"certificate seed {seed}")
+            failures.append(f"certificate state {i}")
 
     # at most one negative PT eigenvalue on two qubits
     d = np.linalg.eigvalsh(partial_transpose(hs_states, (2, 2)))
-    for seed in np.flatnonzero(np.sum(d < -1e-12, axis=-1) > 1):
-        failures.append(f"two negative PT eigenvalues seed {seed}")
+    for i in np.flatnonzero(np.sum(d < -1e-12, axis=-1) > 1):
+        failures.append(f"two negative PT eigenvalues state {i}")
 
     report(6, not failures, f"{len(failures)} property violations" if failures else "all properties hold")
 

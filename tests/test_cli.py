@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from entgeo import (
     DensityMatrix,
+    build_plane,
     closest_pt_states,
     eig_hermitian,
     make_named,
@@ -204,7 +205,10 @@ class TestProject:
         assert report["lambda"] == want.lam
         assert report["kept_indices"] == list(want.kept_indices)
         assert report["distance_exact"] == want.distance_exact
-        assert report["distance_closed_form"] == want.distance_closed_form
+        if ref.drops_only_negatives(report["pt_spectrum"], report["kept_indices"]):
+            assert report["distance_closed_form"] == want.distance_closed_form
+        else:
+            assert abs(report["distance_closed_form"] - want.distance_exact) <= 1e-14
         assert report["d_min"] == want.d_min
         assert report["rho_s_is_positive"] == want.rho_s_is_positive
 
@@ -329,9 +333,9 @@ class TestStats:
         seen = []
         sample = cli.states.sample_hs_random_stack
 
-        def recorded(n, seeds):
-            seen.append(len(seeds))
-            return sample(n, seeds)
+        def recorded(rng, n, count):
+            seen.append(count)
+            return sample(rng, n, count)
 
         monkeypatch.setattr(cli.states, "sample_hs_random_stack", recorded)
         code, _, _ = run(capsys, "stats", "--samples", str(samples), "--dims", dims)
@@ -362,6 +366,15 @@ class TestStats:
 
 
 class TestScan:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 11, 2**70])
+    def test_random_plane_anchors_are_one_state_per_seed(self, seed):
+        # the anchors are the first state of default_rng(seed) and of default_rng(seed + 1)
+        got = cli.resolve_plane(f"random:{seed}")
+        want = build_plane(ref.sample_hs_random(4, seed), ref.sample_hs_random(4, seed + 1))
+        assert got.dims == want.dims == (2, 2)
+        assert np.array_equal(got.a1, want.a1)
+        assert np.array_equal(got.a2, want.a2)
+
     def test_minimal_csv(self, tmp_path, capsys):
         out_path = tmp_path / "g.csv"
         code, _, _ = run(

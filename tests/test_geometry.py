@@ -145,7 +145,7 @@ class TestBuildPlane:
         bell = make_named("bell_psi_plus")
         # a (4, 1) state has bell's size but not its PT, so the PPT cells
         # would depend on which anchor comes first
-        s41 = DensityMatrix(sample_hs_random_stack(4, [3])[0], (4, 1))
+        s41 = DensityMatrix(sample_hs_random_stack(np.random.default_rng(3), 4, 1)[0], (4, 1))
         for rho1, rho2 in [(make_named("w_state"), bell), (s41, bell), (bell, s41)]:
             with pytest.raises(ValueError, match="anchors must share the bipartition, got dimensions"):
                 build_plane(rho1, rho2)
@@ -254,7 +254,7 @@ class TestScanPlane:
     def test_blocks_bound_matrix_elements(self, monkeypatch, dims, block, resolution, sizes):
         # _SCAN_BLOCK * 16 // n^2 cells per block, and at least one
         n = dims[0] * dims[1]
-        rho1, rho2 = sample_hs_random_stack(n, [1, 2])
+        rho1, rho2 = (sample_hs_random_stack(np.random.default_rng(s), n, 1)[0] for s in (1, 2))
         plane = build_plane(DensityMatrix(rho1, dims), DensityMatrix(rho2, dims))
         seen = []
         scan_block = geometry._scan_block
@@ -499,7 +499,7 @@ class TestReferenceFigures:
             assert abs(neg(a, b) - neg(c * a + s * b, s * a - c * b)) <= 1e-10
 
     def test_random_plane_scan(self):
-        rho1, rho2 = sample_hs_random_stack(4, [11, 12])
+        rho1, rho2 = (sample_hs_random_stack(np.random.default_rng(s), 4, 1)[0] for s in (11, 12))
         plane = build_plane(DensityMatrix(rho1, (2, 2)), DensityMatrix(rho2, (2, 2)))
         grid = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
         i = int(np.argmin(np.abs(grid.a_values)))

@@ -122,7 +122,7 @@ class TestEigHermitian:
             eig_hermitian(a if stacked else a[1])
 
     def test_projection_of_a_nan_stack_is_a_value_error(self):
-        stack = sample_hs_random_stack(4, range(3))
+        stack = sample_hs_random_stack(np.random.default_rng(0), 4, 3)
         stack[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             closest_pt_states(stack, (2, 2))

@@ -38,9 +38,9 @@ def pt_spectrum(rho):
     return closest_pt_states(rho.matrix[None], rho.dims).d[0]
 
 
-def hs_states(n, seeds):
-    """HS-random states of dims (2, n/2), and their projections, one row per seed."""
-    rhos = sample_hs_random_stack(n, seeds)
+def hs_states(n, count):
+    """The first ``count`` HS-random states of dims (2, n/2) from stream 0, and their projections."""
+    rhos = sample_hs_random_stack(np.random.default_rng(0), n, count)
     return rhos, closest_pt_states(rhos, (2, n // 2))
 
 
@@ -168,14 +168,14 @@ class TestClosestPtState:
         assert np.max(np.abs(res.rho_s[0] - sigma.matrix)) <= 1e-10
 
     def test_ppt_idempotence_random(self):
-        rhos, res = hs_states(4, range(300))
+        rhos, res = hs_states(4, 300)
         ppt = np.linalg.eigvalsh(partial_transpose(rhos, (2, 2)))[:, 0] >= 0
         assert ppt.sum() > 10
         for rho, rho_s in zip(rhos[ppt], res.rho_s[ppt]):
             assert np.linalg.norm(rho - rho_s) <= 1e-10
 
     def test_invariants_random(self):
-        rhos, res = hs_states(4, range(500))
+        rhos, res = hs_states(4, 500)
         for rho, rho_s, e2 in zip(rhos, res.rho_s, res.e2):
             assert np.all(e2 >= 0)
             assert e2.sum() == pytest.approx(1.0, abs=1e-10)
@@ -216,7 +216,7 @@ class TestRhoSLeastEigenvalue:
         ids=["2x2", "2x3", "3x3", "2x4", "3x4", "4x4"],
     )
     def test_flags_match_eigh(self, dims, count):
-        res = closest_pt_states(sample_hs_random_stack(dims[0] * dims[1], range(count)), dims)
+        res = closest_pt_states(sample_hs_random_stack(np.random.default_rng(0), dims[0] * dims[1], count), dims)
         want = np.linalg.eigh(res.rho_s)[0][:, 0]
         assert np.abs(res.rho_s_min_eig - want).max() <= 1e-15
         positive = want >= -DEFAULT_TOL
@@ -282,13 +282,14 @@ class TestDistanceClosedForm:
         # here every dropped eigenvalue is negative, so the formula is exact
         assert val == pytest.approx(np.linalg.norm(e2 - d), abs=1e-12)
 
-    def test_undershoots_when_positive_eigenvalues_dropped(self):
+    def test_exact_when_positive_eigenvalues_dropped(self):
         d = np.array([1.1, 0.04, -0.14])
         e2, _, kept = project_simplex_psd(d)
         exact = np.linalg.norm(e2 - d)
-        closed = distance_closed_form(d, kept)
-        assert closed < exact
         assert exact == pytest.approx(np.sqrt(0.01 + 0.04**2 + 0.14**2), abs=1e-12)
+        assert distance_closed_form(d, kept) == pytest.approx(exact, abs=1e-15)
+        # the paper's formula leaves out the dropped 0.04^2 and undershoots
+        assert ref.distance_closed_form(d, np.flatnonzero(kept)) < exact - 1e-3
 
     def test_empty_kept(self):
         with pytest.raises(ValueError, match="empty"):
@@ -330,7 +331,7 @@ class TestNegativity:
         # M, states or not (ff3 scan cells outside the state body)
         cases = []
         for dims in [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]:
-            stack = sample_hs_random_stack(dims[0] * dims[1], range(40))
+            stack = sample_hs_random_stack(np.random.default_rng(0), dims[0] * dims[1], 40)
             cases.append((stack, dims, pt_negativity(eig_hermitian(partial_transpose(stack, dims))[0])))
         for rho in (make_named("w_state"), make_named("bell_psi_plus")):
             cases.append((rho.matrix[None], rho.dims, pt_negativity(pt_spectrum(rho))))
@@ -361,7 +362,7 @@ class TestSpectralMeasures:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     def test_stack_matches_per_state_formulas(self, dims):
         n = dims[0] * dims[1]
-        hs = eig_hermitian(partial_transpose(sample_hs_random_stack(n, range(200)), dims))[0]
+        hs = eig_hermitian(partial_transpose(sample_hs_random_stack(np.random.default_rng(0), n, 200), dims))[0]
         # trace-1 spectra with large negative parts, where the projection also
         # drops positive eigenvalues
         x = np.random.default_rng(n).normal(size=(200, n))
@@ -376,9 +377,12 @@ class TestSpectralMeasures:
             want = -row[0] / (-row[0] + 1.0 / n) if npt else 0.0
             assert pt_robustness(row) == want
             assert robustness[i] == want
-            kept = ref.project_simplex_psd(row)[2]
-            dropped_positive += any(row[j] > 0 for j in set(range(n)) - set(kept))
-            assert distance[i] == ref.distance_closed_form(row, kept)
+            e2, _, kept = ref.project_simplex_psd(row)
+            if ref.drops_only_negatives(row, kept):
+                assert distance[i] == ref.distance_closed_form(row, kept)
+            else:
+                dropped_positive += 1
+                assert abs(distance[i] - np.linalg.norm(row - e2)) <= 1e-14
             assert distance_closed_form(row, np.isin(np.arange(n), kept)) == distance[i]
         assert dropped_positive > 0
 
@@ -419,7 +423,7 @@ class TestRobustness:
         assert t == pytest.approx(robustness_bisection_oracle(w_state), abs=1e-9)
 
     def test_certificate_and_monotonicity(self):
-        rhos, res = hs_states(4, range(50))
+        rhos, res = hs_states(4, 50)
         for rho, d in zip(rhos, res.d):
             t = pt_robustness(d)
             pt = partial_transpose(rho, (2, 2))
@@ -457,7 +461,7 @@ class TestTwoQubitDistance:
         # the formula is the two-qubit case n = 4 of sqrt(n/(n-1))|d_min|, the
         # distance of a spectrum with one negative eigenvalue and rank n - 1;
         # on 2x3 it overshoots by sqrt((4/3) / (6/5))
-        rhos, res = hs_states(6, range(200))
+        rhos, res = hs_states(6, 200)
         checked = (res.rank == 5) & (res.d[:, 1] >= 0)
         assert checked.sum() > 10
         for rho, rho_s, d in zip(rhos[checked], res.rho_s[checked], res.d[checked]):
@@ -466,7 +470,7 @@ class TestTwoQubitDistance:
             assert two_qubit_formula(d[0]) == pytest.approx(np.sqrt(10 / 9) * distance, rel=1e-12)
 
     def test_formula_matches_exact_whenever_rank3(self):
-        rhos, res = hs_states(4, range(2000))
+        rhos, res = hs_states(4, 2000)
         checked = (res.d[:, 0] < -1e-10) & (res.rank == 3)
         assert checked.sum() > 1000
         formula = two_qubit_formula(res.d[checked, 0])
@@ -478,7 +482,7 @@ class TestTwoQubitDistance:
 class TestInterpolationLaw:
     def test_pt_spectrum_of_identity_mixture_is_affine(self):
         # eigenvalues of ((1-u) I/n + u rho)^PT are (1-u)/n + u d_i, sorted
-        for rho in sample_hs_random_stack(4, range(50)):
+        for rho in sample_hs_random_stack(np.random.default_rng(0), 4, 50):
             d = np.linalg.eigvalsh(partial_transpose(rho, (2, 2)))
             for u in (0.0, 0.25, 0.5, 0.75, 1.0):
                 mixed = validate_state((1 - u) * np.eye(4) / 4 + u * rho, (2, 2))
