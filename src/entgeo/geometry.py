@@ -4,6 +4,9 @@ A plane is spanned by two traceless, HS-orthonormal Hermitian directions built
 from a pair of anchor states by Gram-Schmidt. Scanning a plane evaluates, per
 grid cell, the minimal eigenvalue of the matrix and of its partial transpose,
 from which the state body, the PPT body, and negativity level sets follow.
+The spectra are computed once per ray from I/n, by the paper's similarity law:
+I/n + kX has the spectrum 1/n + k spec(X), and so has its partial transpose
+with spec(X^PT), so every cell on a ray reads its values off one solve.
 Contours are extracted by marching squares with linear edge interpolation.
 """
 
@@ -18,15 +21,16 @@ import numpy as np
 from .projection import STATE_BODY_SLACK, above_noise_floor, pt_negativity
 from .states import DensityMatrix, partial_transpose
 
-# Cells per batched eigensolve in scan_plane at n = 4. A block holds
-# _SCAN_BLOCK * 16 matrix elements whatever n, so the complex matrix stacks
-# stay a few MB whatever the resolution and the plane's dimension. eigvalsh
-# works matrix by matrix, so the block size does not change any value.
+# Rays per batched eigensolve in scan_plane at n = 4, and cells per block of
+# spectra read back from them. An eigensolve stack holds _SCAN_BLOCK * 16
+# matrix elements whatever n, so the complex matrix stacks stay a few MB
+# whatever the resolution and the plane's dimension. eigvalsh works matrix by
+# matrix, so the block size does not change any value.
 _SCAN_BLOCK = 16384
 
 # Most steps per axis of a scan, checked before anything is built. The grid
 # and its CSV text take ~250 B per cell: `entgeo scan --plane random:1
-# --resolution 1601` with 5 contour levels peaks at 629 MB RSS (x86-64,
+# --resolution 1601` with 5 contour levels peaks at 638 MB RSS (x86-64,
 # NumPy 2.4, OpenBLAS 1 thread).
 MAX_RESOLUTION = 1601
 
@@ -103,15 +107,48 @@ class ScanGrid:
         object.__setattr__(self, "is_ppt", self.is_state & above_noise_floor(self.min_eig_pt))
 
 
-def _scan_block(plane: Plane, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ms = state_at(plane, pts[:, 0], pts[:, 1])
-    eigs = np.linalg.eigvalsh(ms)
-    eigs_pt = np.linalg.eigvalsh(partial_transpose(ms, plane.dims))
-    return eigs[:, 0], eigs_pt[:, 0], pt_negativity(eigs_pt)
+def _rays(a_values, b_values):
+    """The ray from I/n of every grid cell, and the cell's place on it.
+
+    Cell (i, j) is the point k * (u_a[r // nb], u_b[r % nb]) of the ray with
+    integer key r. On a grid symmetric about 0 in both axes (lo = -hi) the
+    cell sits at (h_a P, h_b Q) with integer offsets P = 2i - (na - 1) and
+    Q = 2j - (nb - 1). Its ray is (P, Q) over their gcd, turned into the upper
+    half plane so that a ray and its negative share one solve, and k is the
+    gcd, negative where the cell was turned and 0 at the center. On any other
+    grid every cell is its own ray, at k = 1.
+
+    Returns u_a, u_b and the flat int32 arrays of ray keys and k, cell (i, j)
+    at index i * nb + j.
+    """
+    na, nb = len(a_values), len(b_values)
+    if a_values[0] == -a_values[-1] and b_values[0] == -b_values[-1]:
+        p = np.arange(1 - na, na, 2, dtype=np.int32)[:, None]
+        q = np.arange(1 - nb, nb, 2, dtype=np.int32)
+        gcd = np.gcd(p, q)
+        k = np.where((q > 0) | ((q == 0) & (p > 0)), gcd, -gcd)
+        unit = np.where(k == 0, 1, k)
+        keys = (p // unit + (na - 1)) * nb + q // unit
+        u_a = a_values[-1] / (na - 1) * np.arange(1 - na, na)
+        u_b = b_values[-1] / (nb - 1) * np.arange(nb)
+        return u_a, u_b, keys.ravel(), k.ravel()
+    return a_values, b_values, np.arange(na * nb, dtype=np.int32), np.ones(na * nb, dtype=np.int32)
+
+
+def _on_rays(eigs, eigs_pt, ray, k):
+    """min_eig, min_eig_pt and negativity of the points I/n + k X, X the matrix with spectra eigs[ray], eigs_pt[ray]."""
+    n = eigs.shape[1]
+    # spec(I/n + kX) is 1/n + k spec(X), in reverse order where k < 0
+    flip = k < 0
+    lam = np.where(flip, eigs[ray, -1], eigs[ray, 0])
+    mu = eigs_pt[ray]
+    mu[flip] = mu[flip, ::-1]
+    d_pt = 1 / n + k[:, None] * mu
+    return 1 / n + k * lam, d_pt[:, 0], pt_negativity(d_pt)
 
 
 def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[float, float, int]) -> ScanGrid:
-    """Evaluate the spectral fields over the grid; deterministic, in fixed-size blocks."""
+    """Evaluate the spectral fields over the grid; one solve per ray from I/n, in fixed-size blocks."""
     a_min, a_max, na = a_range
     b_min, b_max, nb = b_range
     if not (2 <= na <= MAX_RESOLUTION and 2 <= nb <= MAX_RESOLUTION):
@@ -123,16 +160,31 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
         )
     a_values = np.linspace(a_min, a_max, na)
     b_values = np.linspace(b_min, b_max, nb)
-    aa, bb = np.meshgrid(a_values, b_values, indexing="ij")
-    pts = np.stack([aa.ravel(), bb.ravel()], axis=1)
+    u_a, u_b, keys, scale = _rays(a_values, b_values)
+    # the cells sorted by ray: ray[s] is the ray of cells[s], first[r] its first place
+    cells = np.argsort(keys)
+    keys, scale = keys[cells], scale[cells]
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    ray_keys = keys[new]
+    ray = np.cumsum(new, dtype=np.int32) - 1
+    first = np.append(np.flatnonzero(new), len(keys))
 
-    min_eig = np.empty(len(pts))
-    min_eig_pt = np.empty(len(pts))
-    neg = np.empty(len(pts))
+    a1_pt, a2_pt = partial_transpose(np.stack([plane.a1, plane.a2]), plane.dims)
+    min_eig = np.empty(na * nb)
+    min_eig_pt = np.empty(na * nb)
+    neg = np.empty(na * nb)
     rows = max(1, _SCAN_BLOCK * 16 // plane.n**2)
-    for start in range(0, len(pts), rows):
-        block = slice(start, start + rows)
-        min_eig[block], min_eig_pt[block], neg[block] = _scan_block(plane, pts[block])
+    for start in range(0, len(ray_keys), rows):
+        block = ray_keys[start : start + rows]
+        u = u_a[block // nb, None, None]
+        v = u_b[block % nb, None, None]
+        eigs = np.linalg.eigvalsh(u * plane.a1 + v * plane.a2)
+        eigs_pt = np.linalg.eigvalsh(u * a1_pt + v * a2_pt)
+        stop = first[start + len(block)]
+        for lo in range(first[start], stop, rows):
+            at = slice(lo, min(lo + rows, stop))
+            c = cells[at]
+            min_eig[c], min_eig_pt[c], neg[c] = _on_rays(eigs, eigs_pt, ray[at] - start, scale[at])
 
     shape = (na, nb)
     return ScanGrid(

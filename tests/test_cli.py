@@ -473,7 +473,7 @@ class TestScan:
         assert not (tmp_path / "g.csv").exists()
 
     def test_resolution_over_cap_exits_2_before_scanning(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.geometry, "_scan_block", unreachable)
+        monkeypatch.setattr(cli.geometry, "_rays", unreachable)
         out_path = tmp_path / "g.csv"
         code, _, err = run(capsys, "scan", "--plane", "ff1", "--resolution", "1602", "--out", str(out_path))
         assert code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entgeo import (
     boundary_contours,
@@ -16,6 +18,7 @@ from entgeo import (
 from entgeo import geometry
 from entgeo.cli import resolve_plane
 from entgeo.geometry import _marching_squares
+from entgeo.projection import above_noise_floor
 from entgeo.states import DensityMatrix, partial_transpose
 
 import reference_geometry as ref
@@ -70,6 +73,39 @@ def radial_errors(grid, kind, level=0.0):
         inside = r <= exact_radius(grid.plane, theta, "state_boundary")
         theta, r = theta[inside], r[inside]
     return np.abs(r - exact_radius(grid.plane, theta, kind, level))
+
+
+def hs_plane(dims, seeds=(1, 2)):
+    n = dims[0] * dims[1]
+    rho1, rho2 = (sample_hs_random_stack(np.random.default_rng(s), n, 1)[0] for s in seeds)
+    return build_plane(DensityMatrix(rho1, dims), DensityMatrix(rho2, dims))
+
+
+def assert_matches_direct_solves(plane, a_range, b_range):
+    """Every cell of the scan against eigvalsh of its own matrix and of its PT."""
+    grid = scan_plane(plane, a_range, b_range)
+    aa, bb = np.meshgrid(grid.a_values, grid.b_values, indexing="ij")
+    m = state_at(plane, aa, bb)
+    eigs = np.linalg.eigvalsh(m)
+    eigs_pt = np.linalg.eigvalsh(partial_transpose(m, plane.dims))
+    assert np.max(np.abs(grid.min_eig - eigs[..., 0])) <= 1e-14
+    assert np.max(np.abs(grid.min_eig_pt - eigs_pt[..., 0])) <= 1e-14
+    assert np.max(np.abs(grid.negativity - pt_negativity(eigs_pt))) <= 1e-14
+    assert np.array_equal(grid.is_state, above_noise_floor(eigs[..., 0]))
+    assert np.array_equal(grid.is_ppt, grid.is_state & above_noise_floor(eigs_pt[..., 0]))
+
+
+def record_solves(monkeypatch):
+    """The shapes of the stacks geometry hands to eigvalsh from now on."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(m):
+        shapes.append(np.shape(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(geometry.np.linalg, "eigvalsh", recorded)
+    return shapes
 
 
 def max_perpendicular_deviation(pts):
@@ -242,31 +278,32 @@ class TestScanPlane:
         assert grid_to_csv(g1) == grid_to_csv(g2)
 
     @pytest.mark.parametrize(
-        "dims, block, resolution, sizes",
-        [
-            ((2, 2), 16384, 129, [16384, 257]),
-            ((2, 4), 16384, 65, [4096, 129]),
-            ((4, 4), 16384, 33, [1024, 65]),
-            ((6, 6), 16384, 15, [202, 23]),
-            ((2, 4), 3, 3, [1] * 9),
-        ],
+        "dims, block, resolution",
+        [((2, 2), 16384, 129), ((2, 4), 16384, 65), ((4, 4), 16384, 33), ((6, 6), 16384, 15), ((2, 4), 3, 3)],
     )
-    def test_blocks_bound_matrix_elements(self, monkeypatch, dims, block, resolution, sizes):
-        # _SCAN_BLOCK * 16 // n^2 cells per block, and at least one
+    def test_eigensolve_stacks_bound_matrix_elements(self, monkeypatch, dims, block, resolution):
+        # _SCAN_BLOCK * 16 // n^2 matrices per stack, and at least one
         n = dims[0] * dims[1]
-        rho1, rho2 = (sample_hs_random_stack(np.random.default_rng(s), n, 1)[0] for s in (1, 2))
-        plane = build_plane(DensityMatrix(rho1, dims), DensityMatrix(rho2, dims))
-        seen = []
-        scan_block = geometry._scan_block
-
-        def recorded(plane, pts):
-            seen.append(len(pts))
-            return scan_block(plane, pts)
-
-        monkeypatch.setattr(geometry, "_scan_block", recorded)
+        plane = hs_plane(dims)
         monkeypatch.setattr(geometry, "_SCAN_BLOCK", block)
-        scan_plane(plane, (-0.1, 0.1, resolution), (-0.1, 0.1, resolution))
-        assert seen == sizes
+        shapes = record_solves(monkeypatch)
+        for lo in (-0.1, -0.05):
+            scan_plane(plane, (lo, 0.1, resolution), (-0.1, 0.1, resolution))
+        assert shapes and all(shape[1:] == (n, n) for shape in shapes)
+        assert max(np.prod(shape) for shape in shapes) <= max(block * 16, n * n)
+
+    def test_symmetric_grids_solve_once_per_ray(self, monkeypatch):
+        # the cells of a 401^2 grid over -0.9:0.9 sit at 0.0045 * (P, Q) with P
+        # and Q even in -400..400: 48 928 primitive directions up to sign,
+        # plus the center, each solved for the matrix and for its PT
+        plane = ff_plane("ff3")
+        shapes = record_solves(monkeypatch)
+        scan_plane(plane, (-0.9, 0.9, 401), (-0.9, 0.9, 401))
+        assert sum(shape[0] for shape in shapes) == 2 * 48929
+        # any other grid solves every cell
+        shapes.clear()
+        scan_plane(plane, (-0.3, 0.9, 101), (-0.9, 0.9, 57))
+        assert sum(shape[0] for shape in shapes) == 2 * 101 * 57
 
     def test_resolution_cap_is_checked_before_anything_is_built(self, monkeypatch):
         plane = ff_plane("ff1")
@@ -274,12 +311,54 @@ class TestScanPlane:
         def unreachable(*args, **kwargs):
             raise AssertionError("scan went past the resolution check")
 
-        monkeypatch.setattr(geometry, "_scan_block", unreachable)
-        monkeypatch.setattr(geometry.np, "meshgrid", unreachable)
+        monkeypatch.setattr(geometry, "_rays", unreachable)
+        monkeypatch.setattr(geometry.np.linalg, "eigvalsh", unreachable)
         cap = geometry.MAX_RESOLUTION
         for na, nb in [(cap + 1, 2), (2, cap + 1)]:
             with pytest.raises(ValueError, match=f"need 2 to {cap} steps per axis, got {na}x{nb}"):
                 scan_plane(plane, (-0.9, 0.9, na), (-0.9, 0.9, nb))
+
+
+class TestScanAgainstDirectSolves:
+    """One solve per ray gives every cell what its own eigensolve gives."""
+
+    @pytest.mark.parametrize("resolution", [100, 101])
+    @pytest.mark.parametrize("spec", ["ff1", "ff2", "ff3", "ff4", "ff8", "random:1", "random:2"])
+    def test_named_planes(self, spec, resolution):
+        rng = (-0.9, 0.9, resolution)
+        assert_matches_direct_solves(resolve_plane(spec), rng, rng)
+
+    @pytest.mark.parametrize(
+        "a_range, b_range",
+        [
+            ((-0.5, 0.5, 41), (-0.9, 0.9, 60)),  # symmetric, a different step per axis
+            ((-0.3, 0.9, 51), (-0.3, 0.9, 51)),
+            ((-0.9, 0.9, 41), (0.1, 0.7, 30)),  # one axis symmetric, the other not
+            ((-0.8, -0.2, 2), (-0.9, 0.9, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("spec", ["ff8", "random:1"])
+    def test_ranges(self, spec, a_range, b_range):
+        assert_matches_direct_solves(resolve_plane(spec), a_range, b_range)
+
+    @pytest.mark.parametrize(
+        "a_range, b_range", [((-0.6, 0.6, 45), (-0.6, 0.6, 44)), ((-0.3, 0.9, 31), (-0.6, 0.6, 31))]
+    )
+    def test_two_by_three_plane(self, a_range, b_range):
+        assert_matches_direct_solves(hs_plane((2, 3)), a_range, b_range)
+
+    @given(
+        st.integers(2, 40),
+        st.floats(0.05, 1.0).flatmap(lambda hi: st.tuples(st.just(-hi) | st.floats(-1.0, hi - 0.01), st.just(hi))),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(2, (-0.9, 0.9))
+    @example(3, (-0.9, 0.9))
+    @example(41, (-0.3, 0.9))
+    def test_cli_grids(self, resolution, bounds):
+        # the grids `entgeo scan` asks for: one range and resolution for both axes
+        rng = (*bounds, resolution)
+        assert_matches_direct_solves(resolve_plane("random:1"), rng, rng)
 
 
 class TestMarchingSquares:
