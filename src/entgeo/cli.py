@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, linalg, projection, states
+from . import geometry, projection, states
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -61,49 +61,39 @@ def cmd_project(args) -> int:
     rho = _resolve_state(args.state)
     res = projection.closest_pt_states(rho.matrix[None], rho.dims)
     d = res.d[0]
-    neg = float(projection.pt_negativity(d))
-    robustness = float(projection.pt_robustness(d))
-    spectrum, e_squared = d.tolist(), np.sort(res.e2[0])[::-1].tolist()
-    lam = float(res.lam[0])
-    kept_indices = np.flatnonzero(res.kept[0]).tolist()
-    distance_exact = float(np.linalg.norm(rho.matrix - res.rho_s[0]))
-    distance_closed_form = float(projection.distance_closed_form(res.d, res.kept)[0])
-    is_positive = bool(res.rho_s_is_positive[0])
-    # positive only by grace of the tolerance: min eigenvalue in [-1e-9, -1e-10)
-    borderline = is_positive and not projection.above_noise_floor(res.rho_s_min_eig[0])
+    report = {
+        "input": args.state,
+        "dims": list(rho.dims),
+        "subsystem": "B",
+        "pt_spectrum": d.tolist(),
+        # e2 = max(d + lambda, 0) is as ascending as d
+        "e_squared": res.e2[0, ::-1].tolist(),
+        "lambda": float(res.lam[0]),
+        "kept_indices": np.flatnonzero(res.kept[0]).tolist(),
+        "distance_exact": float(np.linalg.norm(rho.matrix - res.rho_s[0])),
+        "distance_closed_form": float(projection.distance_closed_form(res.d, res.kept)[0]),
+        "negativity": float(projection.pt_negativity(d)),
+        "robustness": float(projection.pt_robustness(d)),
+        "rho_s_is_positive": bool(res.rho_s_is_positive[0]),
+        "borderline": bool(res.borderline[0]),
+        "d_min": float(d[0]),
+        "rho_s": states.state_to_dict(states.DensityMatrix(res.rho_s[0], rho.dims)),
+    }
 
-    print(f"state: {args.state}  dims {rho.dims[0]}x{rho.dims[1]}  PT over B")
-    print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in spectrum))
-    print("E^2 (descending):        " + "  ".join(f"{x: .10f}" for x in e_squared))
-    print(f"lambda:               {lam:.12f}")
-    print(f"kept indices:         {kept_indices} (rank {len(kept_indices)})")
-    print(f"distance (exact):     {distance_exact:.16f}")
-    print(f"distance (spectral):  {distance_closed_form:.16f}")
-    print(f"negativity:           {neg:.16f}")
-    print(f"robustness t:         {robustness:.16f}")
-    positive = "yes" + (" (borderline)" if borderline else "") if is_positive else "no (distance is a lower bound to the PPT set)"
+    print(f"state: {report['input']}  dims {report['dims'][0]}x{report['dims'][1]}  PT over {report['subsystem']}")
+    print("PT spectrum (ascending): " + "  ".join(f"{x: .10f}" for x in report["pt_spectrum"]))
+    print("E^2 (descending):        " + "  ".join(f"{x: .10f}" for x in report["e_squared"]))
+    print(f"lambda:               {report['lambda']:.12f}")
+    print(f"kept indices:         {report['kept_indices']} (rank {len(report['kept_indices'])})")
+    print(f"distance (exact):     {report['distance_exact']:.16f}")
+    print(f"distance (spectral):  {report['distance_closed_form']:.16f}")
+    print(f"negativity:           {report['negativity']:.16f}")
+    print(f"robustness t:         {report['robustness']:.16f}")
+    positive = "yes" + (" (borderline)" if report["borderline"] else "") if report["rho_s_is_positive"] else "no (distance is a lower bound to the PPT set)"
     print(f"rho_s PSD:            {positive}")
     print("closest PT state rho_s:")
     print(_format_matrix(res.rho_s[0]))
-
     if args.json:
-        report = {
-            "input": args.state,
-            "dims": list(rho.dims),
-            "subsystem": "B",
-            "pt_spectrum": spectrum,
-            "e_squared": e_squared,
-            "lambda": lam,
-            "kept_indices": kept_indices,
-            "distance_exact": distance_exact,
-            "distance_closed_form": distance_closed_form,
-            "negativity": neg,
-            "robustness": robustness,
-            "rho_s_is_positive": is_positive,
-            "borderline": borderline,
-            "d_min": spectrum[0],
-            "rho_s": states.state_to_dict(states.DensityMatrix(res.rho_s[0], rho.dims)),
-        }
         _write_text(args.json, json.dumps(report))
     return EXIT_OK
 
@@ -139,7 +129,8 @@ def cmd_stats(args) -> int:
     neg_sum = 0.0
     for start in range(0, samples, rows):
         rhos = states.sample_hs_random_stack(rng, n, min(rows, samples - start))
-        d, u = linalg.eig_hermitian(states.partial_transpose(rhos, (da, db)))
+        # states sampled here need no Hermiticity check
+        d, u = np.linalg.eigh(states.partial_transpose(rhos, (da, db)))
         # only the NPT states go on to the projection
         is_npt = ~projection.above_noise_floor(d[:, 0])
         res = projection.project_pt_spectra(d[is_npt], u[is_npt], (da, db))
@@ -165,20 +156,11 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-_PLANE_ANCHORS = {
-    "ff1": ("bell_psi_plus", "ff1_rho2"),
-    "ff2": ("bell_psi_plus", "ff2_rho2"),
-    "ff3": ("bell_psi_plus", "ff3_rho2"),
-    "ff4": ("bell_psi_plus", "ff4_rho2"),
-    "ff8": ("bell_psi_plus", "ff8_rho2"),
-}
-
-
 def resolve_plane(spec: str) -> geometry.Plane:
     """Plane from a named tag, random:<seed>, or two states joined by ',', each a tag or a JSON path."""
-    if spec in _PLANE_ANCHORS:
-        n1, n2 = _PLANE_ANCHORS[spec]
-        return geometry.build_plane(states.make_named(n1), states.make_named(n2))
+    if f"{spec}_rho2" in states.NAMED_STATE_TAGS:
+        # plane ffN spans the Bell state and its named partner ffN_rho2
+        return geometry.build_plane(states.make_named("bell_psi_plus"), states.make_named(f"{spec}_rho2"))
     m = re.fullmatch(r"random:(\d+)", spec)
     if m:
         seed = int(m.group(1))

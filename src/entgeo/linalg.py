@@ -1,8 +1,13 @@
-"""Dense complex-matrix helpers: the Hermiticity residual and Hermitian eigensolving.
+"""Dense complex-matrix helpers: the Hermiticity residual and the checked Hermitian eigensolver.
 
 Matrices are plain square ``numpy`` arrays of ``complex128``, or (..., n, n)
 stacks of them where noted; every routine here is a pure function of its
 inputs. Eigendecompositions are numpy's (eigenvalues, eigenvectors) pair.
+The checks run once, where a matrix enters: :func:`eig_hermitian` for a
+caller's stack (``closest_pt_states``), ``validate_state`` for a state
+(``state_from_json`` goes through it). Stacks the program builds itself
+(sampled states, rho_s, plane cells) go straight to ``np.linalg.eigh`` or
+``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ def asymmetry(a: np.ndarray):
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger)/2 in complex128, after the checks both eigensolvers make."""
+    """(A + A^dagger)/2 in complex128, after :func:`eig_hermitian`'s checks: square, finite, Hermitian within ``DEFAULT_TOL``."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -49,13 +54,3 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     input give bitwise-identical results, stacked or one matrix at a time.
     """
     return np.linalg.eigh(_symmetrized(a))
-
-
-def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or a (..., n, n) stack of them, without eigenvectors.
-
-    Input is checked and symmetrized as by :func:`eig_hermitian`. LAPACK's
-    eigenvalue-only path is cheaper and agrees with ``eig_hermitian(a)[0]``
-    to roundoff, not bitwise.
-    """
-    return np.linalg.eigvalsh(_symmetrized(a))

@@ -14,11 +14,13 @@ Tolerance policy: inputs may be off Hermitian, unit trace and PSD by
 >= -1e-9. ``PPT_EIG_TOL`` (1e-10) is the eigensolver noise floor of the one
 predicate :func:`above_noise_floor`: a least eigenvalue >= -1e-10 counts as
 PSD, for PT spectra (PPT; the negativity and the robustness read 0), scan
-cells (``ScanGrid.is_state``, ``is_ppt``) and rho_s, which is borderline (PSD
-only by the input tolerance) in [-1e-9, -1e-10): exact zero eigenvalues read
-as roundoff of either sign are not borderline. Contour points whose
-interpolated least eigenvalue is >= -``STATE_BODY_SLACK`` (1e-6) are in the
-state body.
+cells (``ScanGrid.is_state``, ``is_ppt``) and rho_s, which is borderline
+(``ProjectionBatch.borderline``: PSD only by the input tolerance) in [-1e-9,
+-1e-10): exact zero eigenvalues read as roundoff of either sign are not
+borderline. Contour points whose interpolated least eigenvalue is >=
+-``STATE_BODY_SLACK`` (1e-6) are in the state body. Only
+:func:`closest_pt_states` checks a matrix, the caller's stack; the rho_s
+built here goes straight to LAPACK.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, eig_hermitian, eigvals_hermitian
+from .linalg import DEFAULT_TOL, eig_hermitian
 from .states import partial_transpose
 
 PPT_EIG_TOL = 1e-10
@@ -124,13 +126,19 @@ class ProjectionBatch:
     def rho_s_is_positive(self) -> np.ndarray:
         return self.rho_s_min_eig >= -DEFAULT_TOL
 
+    @property
+    def borderline(self) -> np.ndarray:
+        """PSD only by grace of the input tolerance: least eigenvalue in [-1e-9, -1e-10)."""
+        return self.rho_s_is_positive & ~above_noise_floor(self.rho_s_min_eig)
+
 
 def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> ProjectionBatch:
     """Steps 2 and 3 of the projection for a stack of decomposed partial transposes rho^PT = U D U^dagger.
 
     Simplex-project each PT spectrum d, rebuild sigma* = U E^2 U^dagger from
     the eigenvectors u, map it back through the PT and take the min eigenvalue
-    of the result.
+    of the result. ``d`` and ``u`` are an eigensolver's output, and rho_s is
+    built here, so it goes to LAPACK unchecked.
     """
     e2, lam, kept = project_simplex_psd(d)
     rho_s = partial_transpose((u * e2[..., None, :]) @ u.conj().swapaxes(-1, -2), dims)
@@ -140,7 +148,7 @@ def project_pt_spectra(d: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> P
         lam=lam,
         kept=kept,
         rho_s=rho_s,
-        rho_s_min_eig=eigvals_hermitian(rho_s)[..., 0],
+        rho_s_min_eig=np.linalg.eigvalsh(rho_s)[..., 0],
     )
 
 
@@ -149,7 +157,9 @@ def closest_pt_states(rhos, dims: tuple[int, int]) -> ProjectionBatch:
 
     Steps: eigendecompose rho^PT = U D U^dagger, simplex-project D into E^2,
     reconstruct sigma* = U E^2 U^dagger, return rho_s = (sigma*)^PT. One
-    state is the stack ``rho.matrix[None]``, a batch of one row.
+    state is the stack ``rho.matrix[None]``, a batch of one row. The stack is
+    the caller's, so :func:`linalg.eig_hermitian` checks it: finite and
+    Hermitian within ``DEFAULT_TOL``.
     """
     return project_pt_spectra(*eig_hermitian(partial_transpose(rhos, dims)), dims)
 

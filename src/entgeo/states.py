@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, asymmetry, eigvals_hermitian
+from .linalg import DEFAULT_TOL, asymmetry
 
 SQRT3 = np.sqrt(3.0)
 
@@ -67,7 +67,8 @@ def validate_state(m, dims: tuple[int, int]) -> DensityMatrix:
     tr = complex(np.trace(m))
     if abs(tr - 1) > DEFAULT_TOL:
         raise ValueError(f"trace != 1, got {tr.real:.6g}")
-    min_eig = eigvals_hermitian(m)[0]
+    # eigvalsh reads the lower triangle; m is Hermitian within DEFAULT_TOL, so that is its spectrum to tolerance
+    min_eig = np.linalg.eigvalsh(m)[0]
     if min_eig < -DEFAULT_TOL:
         raise ValueError(f"not PSD, min eigenvalue {min_eig:.4g}")
     return rho

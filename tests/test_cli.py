@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from entgeo import (
     partial_transpose,
     state_from_json,
 )
-from entgeo import cli
+from entgeo import cli, linalg
 from entgeo.cli import main
 from entgeo.projection import pt_negativity, pt_robustness
 from entgeo.states import state_to_dict
@@ -187,7 +188,9 @@ class TestProject:
         want = state_to_dict(DensityMatrix(rho_s, rho.dims))
         assert json.loads(out_path.read_text())["rho_s"] == want
 
-    @pytest.mark.parametrize("state", ["w", "bell", "hs-2x2", "hs-3x3", "hs-3x4"])
+    # HS samples at n = 6 and 9 are not exactly Hermitian (at 4, 8 and 16 they are), so a lost
+    # symmetrization shows first in hs-2x3 and hs-3x3
+    @pytest.mark.parametrize("state", ["w", "bell", "hs-2x2", "hs-2x3", "hs-3x3", "hs-2x4", "hs-3x4"])
     def test_report_fields_are_the_reference_bitwise(self, tmp_path, capsys, state):
         if state.startswith("hs-"):
             da, db = map(int, state[3:].split("x"))
@@ -233,9 +236,8 @@ class TestProject:
         assert hexes(report["pt_spectrum"]) == hexes(res.d[0])
         assert hexes([report["distance_exact"]]) == hexes([np.linalg.norm(rho.matrix - rho_s)])
 
-    def test_report_decomposes_rho_pt_and_rho_s_once_each(self, capsys, monkeypatch):
-        # a named state skips validate_state, so these are the projection's own solves:
-        # eigenvectors of rho^PT, the least eigenvalue alone of rho_s
+    @staticmethod
+    def count_solves(monkeypatch):
         shapes = []
         for name in ("eigh", "eigvalsh"):
             solver = getattr(np.linalg, name)
@@ -245,7 +247,20 @@ class TestProject:
                 return _solver(a)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return shapes
+
+    def test_report_decomposes_rho_pt_and_rho_s_once_each(self, capsys, monkeypatch):
+        # a named state skips validate_state, so these are the projection's own solves:
+        # eigenvectors of rho^PT, the least eigenvalue alone of rho_s
+        shapes = self.count_solves(monkeypatch)
         code, _, _ = run(capsys, "project", "--state", "w")
+        assert code == 0
+        assert shapes == [("eigh", (1, 8, 8)), ("eigvalsh", (1, 8, 8))]
+
+    def test_report_makes_two_eigensolves(self, tmp_path, capsys, monkeypatch):
+        # writing the JSON report adds no solve to the two of the projection
+        shapes = self.count_solves(monkeypatch)
+        code, _, _ = run(capsys, "project", "--state", "w", "--json", str(tmp_path / "w.json"))
         assert code == 0
         assert shapes == [("eigh", (1, 8, 8)), ("eigvalsh", (1, 8, 8))]
 
@@ -256,21 +271,6 @@ class TestProject:
         assert code == 0
         assert "negativity:           0.0000000000000000" in out
         assert '"negativity": 0.0,' in out_path.read_text()
-
-    def test_report_makes_two_eigensolves(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _solver=solver, **kwargs):
-                calls.append(_name)
-                return _solver(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        # a named state skips validate_state: only rho^PT and rho_s are decomposed
-        code, _, _ = run(capsys, "project", "--state", "w", "--json", str(tmp_path / "w.json"))
-        assert code == 0
-        assert calls == ["eigh", "eigvalsh"]
 
 
 class TestStats:
@@ -407,6 +407,19 @@ class TestScan:
         assert ("state_boundary", 0.0) in fields
         assert ("ppt_boundary", 0.0) in fields
         assert ("negativity", 0.2) in fields and ("negativity", 0.5) in fields
+
+    def test_contour_out_is_where_the_contours_go(self, tmp_path, capsys):
+        out_path, contour_path = tmp_path / "g.csv", tmp_path / "elsewhere" / "c.json"
+        contour_path.parent.mkdir()
+        argv = ["scan", "--plane", "ff3", "--resolution", "21", "--out", str(out_path), "--contours", "0.1"]
+        code, out, _ = run(capsys, *argv, "--contour-out", str(contour_path))
+        assert code == 0
+        assert out.splitlines()[-1] == f"wrote contours to {contour_path}"
+        assert not (tmp_path / "g.contours.json").exists()
+        # the same bytes the default path gets
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert contour_path.read_bytes() == (tmp_path / "g.contours.json").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -564,6 +577,29 @@ class TestMain:
     @settings(max_examples=200, deadline=None)
     def test_matrix_printer_is_the_per_cell_oracle(self, m):
         assert cli._format_matrix(m) == ref.format_matrix(m)
+
+    @pytest.mark.parametrize(
+        "command, checked", [("stats", []), ("project-named", [(1, 8, 8)]), ("project-json", [(6, 6), (1, 6, 6)])]
+    )
+    def test_checks_each_matrix_once_where_it_enters(self, tmp_path, capsys, monkeypatch, command, checked):
+        # a JSON state is checked by validate_state and its PT by closest_pt_states; a named
+        # state is the program's own, so only its PT is checked; states that stats samples and
+        # every rho_s go to LAPACK unchecked
+        write_state(tmp_path / "hs.json", ref.sample_hs_random(6, 0, dims=(2, 3)))
+        argv = {
+            "stats": ["stats", "--samples", "10000", "--seed", "1"],
+            "project-named": ["project", "--state", "w", "--json", str(tmp_path / "r.json")],
+            "project-json": ["project", "--state", str(tmp_path / "hs.json"), "--json", str(tmp_path / "r.json")],
+        }[command]
+        calls = []
+        asymmetry = linalg.asymmetry
+        # counted under every name that holds it
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "entgeo" and getattr(module, "asymmetry", None) is asymmetry:
+                monkeypatch.setattr(module, "asymmetry", lambda a: calls.append(np.shape(a)) or asymmetry(a))
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == checked
 
     def test_interleaved_calls_write_what_first_calls_write(self, tmp_path, capsys):
         outputs = [tmp_path / "report.json", tmp_path / "grid.csv", tmp_path / "grid.contours.json"]
