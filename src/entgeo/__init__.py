@@ -30,7 +30,6 @@ from .geometry import (
     contours_to_json,
     grid_to_csv,
     scan_plane,
-    state_at,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "contours_to_json",
     "grid_to_csv",
     "scan_plane",
-    "state_at",
 ]
 
 __version__ = "0.1.0"

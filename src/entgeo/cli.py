@@ -19,20 +19,15 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
 
-@functools.lru_cache(maxsize=64)
-def _matrix_template(show_im: bytes, n_cols: int) -> str:
-    """One %-template per row: a cell shows its imaginary part where its ``show_im`` byte is set."""
-    cells = ["%+9.6f%+9.6fi" if show else "%+9.6f" for show in show_im]
-    return "\n".join(["  ".join(cells[i:i + n_cols]) for i in range(0, len(cells), n_cols)])
-
-
 def _format_matrix(m: np.ndarray) -> str:
     show_im = np.abs(m.imag) > 5e-7
     # the complex entries as interleaved (re, im) floats, keeping each im only where it is shown
     keep = np.ones((m.shape[0], 2 * m.shape[1]), dtype=bool)
     keep[:, 1::2] = show_im
     values = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)[keep]
-    return _matrix_template(show_im.tobytes(), m.shape[1]) % tuple(values.tolist())
+    # one %-template: a cell shows its imaginary part where show_im is set
+    template = "\n".join("  ".join("%+9.6f%+9.6fi" if show else "%+9.6f" for show in row) for row in show_im.tolist())
+    return template % tuple(values.tolist())
 
 
 def _resolve_state(spec: str) -> states.DensityMatrix:
@@ -219,18 +214,26 @@ def _sample_count(text: str) -> int:
 
 
 def _parse_levels(text: str) -> list[float]:
-    levels = [float(x) for x in text.split(",") if x.strip()]
+    try:
+        levels = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        levels = [math.nan]
     if not all(map(math.isfinite, levels)):
         raise argparse.ArgumentTypeError(f"contour levels must be finite, got {text!r}")
     return levels
 
 
 def _parse_range(text: str) -> tuple[float, float]:
-    lo, hi = (float(x) for x in text.split(":"))
+    try:
+        lo, hi = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be two numbers lo:hi, got {text!r}") from None
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The entgeo argument parser, built on the first call, not at import; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="entgeo",
         description="Closest partially transposed states, negativity, and state-space slices.",
@@ -256,15 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use, not at import; parsing leaves no state in it
-    return build_parser()
-
-
 def main(argv=None) -> int:
     """Run one entgeo command; may be called repeatedly in one process."""
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # the handlers are looked up when called, so a replaced module attribute is the one that runs
     command = {"project": cmd_project, "stats": cmd_stats, "scan": cmd_scan}[args.command]
     try:

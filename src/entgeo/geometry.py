@@ -13,7 +13,7 @@ Contours are extracted by marching squares with linear edge interpolation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -78,17 +78,6 @@ def build_plane(rho1: DensityMatrix, rho2: DensityMatrix) -> Plane:
     return Plane(dims=rho1.dims, a1=a1, a2=a2)
 
 
-def state_at(plane: Plane, a, b) -> np.ndarray:
-    """The plane points I/n + a*A1 + b*A2 (Hermitian, trace 1; PSD not guaranteed).
-
-    ``a`` and ``b`` are scalars or arrays of one shape s; the result has shape
-    s + (n, n).
-    """
-    a = np.asarray(a, dtype=float)[..., None, None]
-    b = np.asarray(b, dtype=float)[..., None, None]
-    return np.eye(plane.n) / plane.n + a * plane.a1 + b * plane.a2
-
-
 @dataclass(frozen=True)
 class ScanGrid:
     """Per-cell fields over a rectangular (a, b) grid; arrays indexed [i_a, i_b]."""
@@ -99,12 +88,16 @@ class ScanGrid:
     min_eig: np.ndarray
     min_eig_pt: np.ndarray
     negativity: np.ndarray
-    is_state: np.ndarray = field(init=False)
-    is_ppt: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "is_state", above_noise_floor(self.min_eig))
-        object.__setattr__(self, "is_ppt", self.is_state & above_noise_floor(self.min_eig_pt))
+    @property
+    def is_state(self) -> np.ndarray:
+        """True where the cell is a state: its least eigenvalue is above the noise floor."""
+        return above_noise_floor(self.min_eig)
+
+    @property
+    def is_ppt(self) -> np.ndarray:
+        """True where the cell is a PPT state: a state whose partial transpose is above the noise floor too."""
+        return self.is_state & above_noise_floor(self.min_eig_pt)
 
 
 def _rays(a_values, b_values):

@@ -1,8 +1,12 @@
 """Dense complex-matrix helpers: the Hermiticity residual and the checked Hermitian eigensolver.
 
 Matrices are plain square ``numpy`` arrays of ``complex128``, or (..., n, n)
-stacks of them where noted; every routine here is a pure function of its
-inputs. Eigendecompositions are numpy's (eigenvalues, eigenvectors) pair.
+stacks of them where noted; both functions are pure functions of their
+inputs. :func:`asymmetry` is the Hermiticity residual that
+:func:`eig_hermitian` and ``validate_state`` test against ``DEFAULT_TOL``.
+:func:`eig_hermitian` checks shape, finiteness and Hermiticity, in that
+order, then hands (A + A^dagger)/2 to ``np.linalg.eigh`` and returns its
+(eigenvalues, eigenvectors) pair.
 The checks run once, where a matrix enters: :func:`eig_hermitian` for a
 caller's stack (``closest_pt_states``), ``validate_state`` for a state
 (``state_from_json`` goes through it). Stacks the program builds itself
@@ -26,22 +30,6 @@ def asymmetry(a: np.ndarray):
     return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
 
 
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger)/2 in complex128, after :func:`eig_hermitian`'s checks: square, finite, Hermitian within ``DEFAULT_TOL``."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    asym = asymmetry(a).max(initial=0.0)
-    if asym > DEFAULT_TOL:
-        raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > tol {DEFAULT_TOL:.3e}")
-    # halve before adding: A + A^dagger overflows for entries near 1e308
-    half = a / 2
-    half += half.conj().swapaxes(-1, -2)
-    return half
-
-
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, u) of a Hermitian matrix or a (..., n, n) stack of them, A = u diag(w) u^dagger.
 
@@ -53,4 +41,15 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns of u are the matching eigenvectors, and repeated calls on the same
     input give bitwise-identical results, stacked or one matrix at a time.
     """
-    return np.linalg.eigh(_symmetrized(a))
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    asym = asymmetry(a).max(initial=0.0)
+    if asym > DEFAULT_TOL:
+        raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > tol {DEFAULT_TOL:.3e}")
+    # halve before adding: A + A^dagger overflows for entries near 1e308
+    half = a / 2
+    half += half.conj().swapaxes(-1, -2)
+    return np.linalg.eigh(half)

@@ -1,9 +1,11 @@
-"""Per-cell reference implementations of the contour and CSV export code.
+"""Per-cell reference implementations of the plane points, the contour and the CSV export code.
 
-These are loop versions of ``entgeo.geometry``'s marching squares, segment
-chaining, state-body restriction and grid CSV export, one cell or one row at
-a time, used as a test oracle: the vectorised library code must reproduce
-their output exactly (same polylines in the same order, same bytes). A
+:func:`state_at` builds the matrix of any plane point directly from the
+frame, so a test can solve each cell on its own. The rest are loop versions
+of ``entgeo.geometry``'s marching squares, segment chaining, state-body
+restriction and grid CSV export, one cell or one row at a time, used as a
+test oracle: the vectorised library code must reproduce their output exactly
+(same polylines in the same order, same bytes). A
 contour crossing is named ``("node", (i, j))`` when it falls on grid node
 (i, j) (t = 0 or 1) and ``("edge", lower, axis)`` otherwise; it is
 interpolated from the lower end of its grid edge, so both cells on an edge
@@ -14,7 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from entgeo.geometry import ScanGrid
+from entgeo.geometry import Plane, ScanGrid
+
+
+def state_at(plane: Plane, a, b) -> np.ndarray:
+    """The plane points I/n + a*A1 + b*A2 (Hermitian, trace 1; PSD not guaranteed).
+
+    ``a`` and ``b`` are scalars or arrays of one shape s; the result has shape
+    s + (n, n).
+    """
+    a = np.asarray(a, dtype=float)[..., None, None]
+    b = np.asarray(b, dtype=float)[..., None, None]
+    return np.eye(plane.n) / plane.n + a * plane.a1 + b * plane.a2
 
 
 def _marching_squares(a_values, b_values, f):
@@ -181,6 +194,8 @@ def points_in_state_body(grid: ScanGrid, points, slack: float = 1e-6) -> np.ndar
 def grid_to_csv(grid: ScanGrid) -> str:
     """CSV of the grid: one row per cell, b outer / a inner, 17 significant digits."""
     lines = ["a,b,min_eig,min_eig_pt,negativity,is_state,is_ppt"]
+    # the flags are properties computed over the whole grid: read them once
+    is_state, is_ppt = grid.is_state, grid.is_ppt
     for j in range(len(grid.b_values)):
         for i in range(len(grid.a_values)):
             lines.append(
@@ -191,8 +206,8 @@ def grid_to_csv(grid: ScanGrid) -> str:
                     grid.min_eig[i, j],
                     grid.min_eig_pt[i, j],
                     grid.negativity[i, j],
-                    int(grid.is_state[i, j]),
-                    int(grid.is_ppt[i, j]),
+                    int(is_state[i, j]),
+                    int(is_ppt[i, j]),
                 )
             )
     return "\n".join(lines) + "\n"

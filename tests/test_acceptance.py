@@ -19,12 +19,12 @@ from entgeo import (
     pt_robustness,
     sample_hs_random_stack,
     scan_plane,
-    state_at,
     validate_state,
 )
 from entgeo.projection import above_noise_floor
 
 import reference_geometry as ref
+from reference_geometry import state_at
 from test_geometry import grid_step, max_perpendicular_deviation, radial_errors, split_into_straight_runs
 from test_projection import simplex_oracle
 

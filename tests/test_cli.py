@@ -17,7 +17,7 @@ from entgeo import (
     partial_transpose,
     state_from_json,
 )
-from entgeo import cli, linalg
+from entgeo import cli, linalg, states
 from entgeo.cli import main
 from entgeo.projection import pt_negativity, pt_robustness
 from entgeo.states import state_to_dict
@@ -501,14 +501,43 @@ class TestScan:
         assert "lo < hi" in err
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("levels", ["nan,inf", "0.1,-inf", "nan"])
+    @pytest.mark.parametrize("bounds", ["a:b", "0.5", "1:2:3"])
+    def test_malformed_range_is_a_usage_error(self, tmp_path, capsys, bounds):
+        out_path = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--plane", "ff3", "--resolution", "5", f"--range={bounds}", "--out", str(out_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --range: must be two numbers lo:hi, got {bounds!r}" in err
+        assert "_parse" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("levels", ["nan,inf", "0.1,-inf", "nan", "0.1,x"])
     def test_non_finite_contour_levels_exit_2(self, tmp_path, capsys, levels):
         out_path = tmp_path / "g.csv"
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--plane", "ff3", "--resolution", "5", "--out", str(out_path), "--contours", levels])
         assert exc.value.code == 2
-        assert f"contour levels must be finite, got {levels!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"contour levels must be finite, got {levels!r}" in err
+        assert "_parse" not in err
         assert not out_path.exists()
+
+    def test_plane_list_is_the_named_planes(self, tmp_path, capsys):
+        # the named planes are the ffN with a partner state ffN_rho2; the help,
+        # the unknown-plane error and the README list each of them
+        planes = [tag.removesuffix("_rho2") for tag in states.NAMED_STATE_TAGS if tag.endswith("_rho2")]
+        for plane in planes:
+            assert cli.resolve_plane(plane).dims == (2, 2)
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        assert f" {'|'.join(planes)}, random:<seed>," in " ".join(capsys.readouterr().out.split())
+        code, _, err = run(capsys, "scan", "--plane", "ff9", "--out", str(tmp_path / "g.csv"))
+        assert code == 2
+        assert f"; use {'|'.join(planes)}, random:<seed>," in err
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        listed = re.findall(r"\((ff\d+(?:, ff\d+)*)\)", readme)
+        assert listed and set(listed) == {", ".join(planes)}
 
     def test_unwritable_out_exits_3(self, capsys):
         code, _, err = run(
@@ -621,7 +650,7 @@ class TestMain:
                 path.unlink(missing_ok=True)
             return code, capsys.readouterr(), written
 
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         first = {name: call(name) for name in calls}
         assert first["usage error"][0] == 2
         for name in ["usage error", "scan", "project", "usage error", "stats", "project", "scan", "stats"]:

@@ -13,7 +13,6 @@ from entgeo import (
     pt_negativity,
     sample_hs_random_stack,
     scan_plane,
-    state_at,
 )
 from entgeo import geometry
 from entgeo.cli import resolve_plane
@@ -22,6 +21,7 @@ from entgeo.projection import above_noise_floor
 from entgeo.states import DensityMatrix, partial_transpose
 
 import reference_geometry as ref
+from reference_geometry import state_at
 
 SQRT3 = np.sqrt(3.0)
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entgeo import (
-    build_plane,
     closest_pt_states,
     eig_hermitian,
     partial_transpose,
@@ -17,8 +16,6 @@ from entgeo.projection import above_noise_floor
 from conftest import random_hermitian
 
 I4 = np.eye(4, dtype=complex)
-SZ = np.diag([1.0, -1.0]).astype(complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def hermitian_strategy(max_dim=8):
@@ -27,69 +24,6 @@ def hermitian_strategy(max_dim=8):
         st.integers(0, 2**32 - 1),
         st.integers(2, max_dim),
     )
-
-
-def hermitian_pair_strategy(max_dim=6):
-    def build(seed, n):
-        rng = np.random.default_rng(seed)
-        return random_hermitian(rng, n), random_hermitian(rng, n)
-
-    return st.builds(build, st.integers(0, 2**32 - 1), st.integers(2, max_dim))
-
-
-def hs_inner(a, b):
-    """tr(A^dagger B), written out as build_plane's Gram-Schmidt step computes it."""
-    return np.trace(a.conj().T @ b)
-
-
-class TestHsInner:
-    """The Hilbert-Schmidt inner product the plane frame is built with."""
-
-    def test_identity(self):
-        assert hs_inner(I4, I4) == pytest.approx(4 + 0j)
-
-    def test_orthogonal_pauli_directions(self):
-        assert hs_inner(np.kron(SZ, np.eye(2)), np.kron(SX, np.eye(2))) == pytest.approx(0)
-
-    def test_pure_state_purity(self, w_state):
-        # tr(rho^2) = 1 for a pure state; cross-check by direct multiplication
-        rho = w_state.matrix
-        assert hs_inner(rho, rho) == pytest.approx(np.trace(rho @ rho))
-        assert hs_inner(rho, rho).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self, w_state, bell):
-        # build_plane checks the anchors' bipartition before taking any inner product
-        with pytest.raises(ValueError, match="anchors must share the bipartition"):
-            build_plane(bell, w_state)
-
-    @given(hermitian_pair_strategy())
-    def test_conjugate_symmetry(self, pair):
-        a, b = pair
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-
-class TestHsNorm:
-    """The Hilbert-Schmidt norm, np.linalg.norm of a matrix, as the plane frame and the project report take it."""
-
-    def test_zero(self):
-        assert np.linalg.norm(np.zeros((4, 4))) == 0.0
-
-    def test_normalized_identity(self):
-        assert np.linalg.norm(I4 / 4) == pytest.approx(0.5)
-
-    def test_w_distance_to_reference_closest_state(self, w_state, w_rho_s):
-        assert np.linalg.norm(w_state.matrix - w_rho_s) == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
-        rho_s = closest_pt_states(w_state.matrix[None], w_state.dims).rho_s[0]
-        assert np.linalg.norm(w_state.matrix - rho_s) == pytest.approx((2 / 3) ** 1.5, abs=1e-12)
-
-    @given(hermitian_strategy(6), st.floats(-3, 3))
-    def test_homogeneity(self, a, s):
-        assert np.linalg.norm(s * a) == pytest.approx(abs(s) * np.linalg.norm(a))
-
-    @given(hermitian_pair_strategy())
-    def test_triangle_inequality(self, pair):
-        a, b = pair
-        assert np.linalg.norm(a + b) <= np.linalg.norm(a) + np.linalg.norm(b) + 1e-12
 
 
 class TestEigHermitian:

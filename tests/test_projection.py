@@ -19,7 +19,6 @@ from entgeo import (
     pt_robustness,
     sample_hs_random_stack,
     scan_plane,
-    state_at,
     validate_state,
 )
 from entgeo.cli import main, resolve_plane
@@ -28,6 +27,7 @@ from entgeo.projection import above_noise_floor
 from entgeo.states import state_to_dict
 
 import reference_projection as ref
+from reference_geometry import state_at
 
 SQRT2 = np.sqrt(2.0)
 
