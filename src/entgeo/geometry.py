@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -29,9 +28,10 @@ from .states import DensityMatrix, partial_transpose
 _SCAN_BLOCK = 16384
 
 # Most steps per axis of a scan, checked before anything is built. The grid
-# and its CSV text take ~250 B per cell: `entgeo scan --plane random:1
-# --resolution 1601` with 5 contour levels peaks at 638 MB RSS (x86-64,
-# NumPy 2.4, OpenBLAS 1 thread).
+# and its CSV text take ~256 B per cell: `entgeo scan --plane random:1
+# --resolution 1601` with 5 contour levels peaks at 626 MB RSS, the child's
+# ru_maxrss (x86-64, NumPy 2.4, OpenBLAS 1 thread). grid_to_csv formats
+# blocks of about this many cells.
 MAX_RESOLUTION = 1601
 
 # Largest |a| or |b| a scan may reach. Every state lies within HS radius 1 of
@@ -362,26 +362,109 @@ def _restrict_to_state_body(grid: ScanGrid, lines):
 # Export formats
 
 
+def _g17_fields(x, quads, ends):
+    """',' and '%.17g' of each float in x, as rows of 25 ASCII bytes padded with NUL.
+
+    Zeros and |x| in [1e-4, 1e17), where '%.17g' writes fixed notation, are
+    formatted here. With E = floor(log10 |x|), x * 10^(16 - E) is formed
+    exactly as hi + lo by Dekker's two-product (10^k is a double up to
+    k = 22), and rounded half to even to 17 digits. The values are sorted by
+    E and by the last digit they write, so that each layout is one slice of
+    rows: the lead (NUL padding, ',', the sign and any "0.000"), then the
+    digits, with a '.' after the integer ones if a nonzero digit follows.
+    Any other value is formatted by '%.17g' itself. quads[k] holds the 4
+    ASCII digits of k < 10^4, and ends[k] the place of its last nonzero
+    digit, or -17 for k = 0.
+    """
+    tens = np.array([float(f"1e{k}") for k in range(-4, 21)])  # tens[k + 4] == 10^k
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = zero | (ax >= 1e-4) & (ax < 1e17)
+    # laid out as 1 (E = 0), then overwritten
+    ax[zero | ~fast] = 1.0
+    # the doubles nearest 1e-3, 1e-2 and 1e-1 lie above those powers, so
+    # comparing against the doubles gives floor(log10 |x|) exactly
+    exp = np.searchsorted(tens[1:21], ax, side="right") - 4
+    scale = tens[20 - exp]
+    hi = ax * scale
+    a1 = 134217729.0 * ax  # Veltkamp split at 2^27 + 1
+    a1 -= a1 - ax
+    a2 = ax - a1
+    b1 = 134217729.0 * scale
+    b1 -= b1 - scale
+    b2 = scale - b1
+    lo = a2 * b2 - (((hi - a1 * b1) - a2 * b1) - a1 * b2)
+    # hi >= 1e16 > 2^53 is an even integer, so rounding lo half to even rounds
+    # hi + lo. It never rounds up to 10^17: the double below each 10^(E + 1)
+    # is more than 8 units of the 17th digit below it.
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    n[zero] = 0
+
+    # the 17 digits in 4-digit chunks, the first "000d"
+    chunks = np.empty((5, len(x)), dtype=np.intp)
+    for k in (4, 3, 2, 1):
+        top = n // 10**4
+        chunks[k] = n - 10**4 * top
+        n = top
+    chunks[0] = n
+    # the last digit written: the last nonzero one, or the last integer one
+    last = np.maximum((ends[chunks] + np.array([[-3], [1], [5], [9], [13]], dtype=np.int8)).max(axis=0), exp)
+    layout = (exp + 4) * 17 + last
+    order = np.argsort(layout.astype(np.int16), kind="stable")
+    digits = np.ascontiguousarray(quads[chunks].T).view("V20")[order].view(np.uint8)[:, 3:]
+    leads = [b"," + sign + zeros for sign in (b"", b"-") for zeros in (b"", b"0.", b"0.0", b"0.00", b"0.000")]
+    leads = np.array([lead.rjust(7, b"\0") for lead in leads])[5 * np.signbit(x) + np.clip(-exp, 0, 4)]
+    text = np.zeros((len(x), 25), dtype=np.uint8)
+    text[:, :7] = leads[order, None].view(np.uint8)
+    counts = np.bincount(layout)
+    stops = np.cumsum(counts)
+    for key in np.flatnonzero(counts).tolist():
+        rows = slice(stops[key] - counts[key], stops[key])
+        e, end = divmod(key, 17)
+        e -= 4
+        if e < 0 or end == e:
+            text[rows, 7 : 8 + end] = digits[rows, : end + 1]
+        else:
+            text[rows, 7 : 8 + e] = digits[rows, : e + 1]
+            text[rows, 8 + e] = ord(".")
+            text[rows, 9 + e : 9 + end] = digits[rows, e + 1 : end + 1]
+    out = np.empty_like(text)
+    out.view("V25")[order] = text.view("V25")
+    slow = ~fast
+    if slow.any():
+        out[slow] = np.array([b",%.17g" % v for v in x[slow].tolist()], dtype="S25")[:, None].view(np.uint8)
+    return out
+
+
 def grid_to_csv(grid: ScanGrid) -> str:
-    """CSV of the grid: one row per cell, b outer / a inner, 17 significant digits."""
-    a_text = ["%.17g" % x for x in grid.a_values.tolist()]
-    flags = ("0,0", "0,1", "1,0", "1,1")
-    flag_codes = 2 * grid.is_state.astype(np.intp) + grid.is_ppt
-    # one text block per b value, so that only one grid column of Python
-    # floats and row strings is alive at a time
-    blocks = ["a,b,min_eig,min_eig_pt,negativity,is_state,is_ppt"]
-    for j, b in enumerate(grid.b_values.tolist()):
-        rows = zip(
-            a_text,
-            repeat("%.17g" % b),
-            grid.min_eig[:, j].tolist(),
-            grid.min_eig_pt[:, j].tolist(),
-            grid.negativity[:, j].tolist(),
-            [flags[c] for c in flag_codes[:, j].tolist()],
-        )
-        blocks.append("\n".join(["%s,%s,%.17g,%.17g,%.17g,%s" % row for row in rows]))
-    blocks.append("")  # trailing newline without copying the joined text
-    return "\n".join(blocks)
+    """CSV of the grid: one row per cell, b outer / a inner, '%.17g' numbers.
+
+    The rows are built in blocks of whole b columns, each block about
+    MAX_RESOLUTION cells or one column. A block is laid out as byte rows
+    padded with NUL, then squeezed to text; no Python object is made per cell.
+    """
+    na = len(grid.a_values)
+    a_text = np.array([b"%.17g" % x for x in grid.a_values.tolist()])[:, None].view(np.uint8)
+    b_text = np.array([b",%.17g" % x for x in grid.b_values.tolist()])[:, None, None].view(np.uint8)
+    flags = np.array([b",0,0\n", b",0,1\n", b",1,0\n", b",1,1\n"])[2 * grid.is_state.astype(np.intp) + grid.is_ppt]
+    flags = np.ascontiguousarray(flags.T)[..., None].view(np.uint8)
+    digits = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    quads = digits.view(np.uint32)[:, 0]
+    ends = (3 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)).astype(np.int8)
+    ends[0] = -17
+    edges = np.cumsum([0, a_text.shape[-1], b_text.shape[-1], 3 * 25, 5])
+    blocks = ["a,b,min_eig,min_eig_pt,negativity,is_state,is_ppt\n"]
+    step = max(1, MAX_RESOLUTION // na)
+    for j in range(0, len(b_text), step):
+        cols = slice(j, j + step)
+        fields = np.stack([grid.min_eig[:, cols].T, grid.min_eig_pt[:, cols].T, grid.negativity[:, cols].T], axis=-1)
+        rows = np.empty(fields.shape[:2] + (edges[-1],), dtype=np.uint8)
+        rows[..., edges[0] : edges[1]] = a_text
+        rows[..., edges[1] : edges[2]] = b_text[cols]
+        rows[..., edges[2] : edges[3]] = _g17_fields(fields.ravel(), quads, ends).reshape(len(fields), na, -1)
+        rows[..., edges[3] : edges[4]] = flags[cols]
+        blocks.append(rows[rows != 0].tobytes().decode("ascii"))
+    return "".join(blocks)
 
 
 def contours_to_json(entries) -> str:

@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# OpenBLAS reads its thread count when numpy is first imported: pin it, as CI
+# does, so the stacked eigensolves of the suite do not contend for the cores
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from entgeo import make_named, partial_transpose
 
