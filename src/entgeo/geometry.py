@@ -6,8 +6,9 @@ grid cell, the minimal eigenvalue of the matrix and of its partial transpose,
 from which the state body, the PPT body, and negativity level sets follow.
 The spectra are computed once per ray from I/n, by the paper's similarity law:
 I/n + kX has the spectrum 1/n + k spec(X), and so has its partial transpose
-with spec(X^PT), so every cell on a ray reads its values off one solve.
-Contours are extracted by marching squares with linear edge interpolation.
+with spec(X^PT), so every cell on a ray reads its values off one solve. The
+same law puts each contour at a closed-form radius on every ray, so contours
+are polylines through exact points, one per angle, not read off the grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import STATE_BODY_SLACK, above_noise_floor, pt_negativity
+from .projection import above_noise_floor, pt_negativity
 from .states import DensityMatrix, partial_transpose
 
 # Rays per batched eigensolve in scan_plane at n = 4, and cells per block of
@@ -35,7 +36,8 @@ _SCAN_BLOCK = 16384
 MAX_RESOLUTION = 1601
 
 # Largest |a| or |b| a scan may reach. Every state lies within HS radius 1 of
-# I/n, and bounds near 1e284 overflow the contour crossings.
+# I/n, so wider bounds add only non-states, and near 1e308 the span hi - lo
+# overflows.
 _MAX_COORDINATE = 1e6
 
 
@@ -190,172 +192,67 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     )
 
 
-# ---------------------------------------------------------------------------
-# Marching squares
-
-# For each non-saddle case code, the two edges whose corners differ in sign
-# (edge k joins corner k and corner (k+1) % 4), lowest edge first. Cases 0
-# and 15 cross no edge and are never looked up.
-_CASE_EDGES = np.array(
-    [
-        [k for k in range(4) if ((case >> k) & 1) != ((case >> ((k + 1) % 4)) & 1)][:2]
-        or [0, 0]
-        for case in range(16)
-    ]
-)
-
-
-def _marching_squares(a_values, b_values, f):
-    """Zero-level polylines of a scalar field sampled on a rectangular grid.
-
-    Corner signs pick one of 16 cases; the two saddle cases are disambiguated
-    by the sign of the corner sum. Each crossed grid edge gets one crossing,
-    interpolated linearly from its lower grid node, so the two cells sharing
-    an edge share its point bitwise. Nodes are integers: grid node (i, j) is
-    i * nb + j, and a crossing at t = 0 or 1 is that grid node, at its exact
-    (a, b); any other crossing is f.size + 2 * (lower node) + axis. Segments
-    are chained into ordered polylines. Only the cells the contour crosses are
-    visited, in row-major order.
-    """
-    a_values = np.asarray(a_values, dtype=float)
-    b_values = np.asarray(b_values, dtype=float)
-    f = np.asarray(f, dtype=float)
-    nb = f.shape[1]
-    # corner k of cell (i, j): (i, j), (i+1, j), (i+1, j+1), (i, j+1)
-    corners = (f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:])
-    case = sum((c >= 0).astype(np.intp) << k for k, c in enumerate(corners))
-    ii, jj = np.nonzero((case != 0) & (case != 15))
-    if len(ii) == 0:
-        return []
-    case = case[ii, jj]
-    vals = [c[ii, jj] for c in corners]
-
-    # up to two segments per cell, as (edge, edge) pairs
-    edges = np.zeros((len(ii), 2, 2), dtype=np.intp)
-    edges[:, 0] = _CASE_EDGES[case]
-    saddle = (case == 5) | (case == 10)
-    # opposite corners summed first: the same sum for every rotation and flip of the cell
-    center_pos = (vals[0] + vals[2]) + (vals[1] + vals[3]) >= 0
-    # pair crossings so the positive region stays connected iff the center
-    # sample is positive
-    joined = (case == 5) == center_pos
-    edges[saddle, 0] = np.where(joined[saddle, None], [0, 1], [0, 3])
-    edges[saddle, 1] = np.where(joined[saddle, None], [2, 3], [1, 2])
-    present = np.zeros((len(ii), 2), dtype=bool)
-    present[:, 0] = True
-    present[:, 1] = saddle
-
-    # edge k of cell (i, j) as 2 * (lower node) + axis, with lower nodes
-    # (i, j), (i+1, j), (i, j+1), (i, j) and axes 0, 1, 0, 1
-    cell = np.nonzero(present)[0]
-    offsets = np.array([0, 2 * nb + 1, 2, 1])
-    seg_edges = 2 * (ii[cell] * nb + jj[cell])[:, None] + offsets[edges[present]]
-    edge_ids, inverse = np.unique(seg_edges.ravel(), return_inverse=True)
-    lower, axis = np.divmod(edge_ids, 2)
-    upper = lower + np.where(axis == 0, nb, 1)
-    flat = f.ravel()
-    t = flat[lower] / (flat[lower] - flat[upper])
-    nodes = np.where(t == 0, lower, np.where(t == 1, upper, f.size + edge_ids))
-    p_lower = np.stack([a_values[lower // nb], b_values[lower % nb]], axis=1)
-    p_upper = np.stack([a_values[upper // nb], b_values[upper % nb]], axis=1)
-    points = np.where((t == 1)[:, None], p_upper, p_lower + t[:, None] * (p_upper - p_lower))
-
-    seg_nodes = nodes[inverse].reshape(-1, 2)
-    # both ends on one grid node: a degenerate segment
-    keep = seg_nodes[:, 0] != seg_nodes[:, 1]
-    return _chain_segments(points[inverse].reshape(-1, 2, 2)[keep], seg_nodes[keep])
-
-
-def _chain_segments(ends, nodes):
-    """Join shared-endpoint segments into polylines (closed loops or open arcs).
-
-    ends[s] holds the two endpoint coordinates of segment s and nodes[s] their
-    integer node ids; endpoints with equal ids are joined.
-    """
-    if len(ends) == 0:
-        return []
-    ends = ends.tolist()
-    nodes = nodes.tolist()
-    adjacency: dict[int, list] = {}
-    for idx, (p, q) in enumerate(nodes):
-        adjacency.setdefault(p, []).append((idx, 1))
-        adjacency.setdefault(q, []).append((idx, 0))
-
-    used = [False] * len(ends)
-    polylines = []
-
-    def walk(line, cur):
-        while True:
-            for idx, end in adjacency[cur]:
-                if not used[idx]:
-                    used[idx] = True
-                    line.append(ends[idx][end])
-                    cur = nodes[idx][end]
-                    break
-            else:
-                return line
-
-    # open chains first: start from nodes of odd degree, at the node's point
-    for node, links in adjacency.items():
-        if len(links) % 2 == 1 and any(not used[idx] for idx, _ in links):
-            idx, end = links[0]
-            polylines.append(walk([ends[idx][1 - end]], node))
-    # remaining are closed loops
-    for idx, (p, q) in enumerate(ends):
-        if not used[idx]:
-            used[idx] = True
-            polylines.append(walk([p, q], nodes[idx][1]))
-    return [np.array(line) for line in polylines]
-
-
 def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
-    """Extract iso-polylines from a scan.
+    """Contour polylines of a scan's plane inside its window, exact at every vertex.
 
-    kind: 'state_boundary' (min_eig = 0), 'ppt_boundary' (min_eig_pt = 0
-    restricted to the state body), or 'negativity' at the given level.
-    Returns a list of (k, 2) arrays of (a, b) points; empty list if no contour.
+    kind: 'state_boundary' (least eigenvalue 0), 'ppt_boundary' (least PT
+    eigenvalue 0, inside the state body), or 'negativity' at the given level.
+    Along the ray I/n + rB, B = cos(t) A1 + sin(t) A2, the spectra are
+    1/n + r spec(B) and 1/n + r spec(B^PT), so each contour meets the ray once,
+    at a closed-form radius. With m = 2 * (max(na, nb) - 1), the m angles
+    spread over the whole turn when the window holds I/n, else over the
+    window's angular extent seen from I/n. The vertices inside the window
+    split into runs; a whole turn inside is one closed loop, its first point
+    repeated. Returns a list of (k, 2) arrays of (a, b) points, k >= 2.
     """
-    if kind == "state_boundary":
-        f = grid.min_eig
-    elif kind == "ppt_boundary":
-        f = grid.min_eig_pt
-    elif kind == "negativity":
-        f = grid.negativity - level
-    else:
+    if kind not in ("state_boundary", "ppt_boundary", "negativity"):
         raise ValueError(f"unknown contour kind {kind!r}")
-    lines = _marching_squares(grid.a_values, grid.b_values, np.asarray(f, dtype=float))
+    # N - L >= 0 on the whole plane
+    if kind == "negativity" and level <= 0:
+        return []
+    plane, n = grid.plane, grid.plane.n
+    lo = np.array([grid.a_values[0], grid.b_values[0]])
+    hi = np.array([grid.a_values[-1], grid.b_values[-1]])
+    m = 2 * (max(len(grid.a_values), len(grid.b_values)) - 1)
+    whole_turn = (lo <= 0).all() and (hi >= 0).all()
+    if whole_turn:
+        theta = np.arange(m) * (2 * np.pi / m)
+    else:
+        # the window spans less than half a turn about I/n: measure its corners from its center's angle
+        mid = np.arctan2(lo[1] + hi[1], lo[0] + hi[0])
+        corners = np.arctan2([lo[1], lo[1], hi[1], hi[1]], [lo[0], hi[0], lo[0], hi[0]]) - mid
+        turn = np.angle(np.exp(1j * corners))
+        theta = mid + np.linspace(turn.min(), turn.max(), m)
+    rays = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    b = rays[:, :1, None] * plane.a1 + rays[:, 1:, None] * plane.a2
+    # B and B^PT are traceless and nonzero: their least eigenvalue is negative
+    if kind != "negativity":
+        r_state = -1 / (n * np.linalg.eigvalsh(b)[:, 0])
+    if kind == "state_boundary":
+        r = r_state
+    else:
+        mu = np.linalg.eigvalsh(partial_transpose(b, plane.dims))
+        if kind == "ppt_boundary":
+            r = -1 / (n * mu[:, 0])
+        else:
+            # with j negative PT eigenvalues N = -2 sum_{i<j} (1/n + r mu_i); N is the
+            # largest of these lines over j, so it first reaches the level at their least root
+            with np.errstate(divide="ignore"):
+                roots = (level / 2 + np.arange(1, n + 1) / n) / np.maximum(-np.cumsum(mu, axis=1), 0)
+            r = roots.min(axis=1)
+    pts = r[:, None] * rays
+    inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
     if kind == "ppt_boundary":
-        lines = _restrict_to_state_body(grid, lines)
-    return lines
-
-
-def _in_state_body(grid: ScanGrid, pts: np.ndarray) -> np.ndarray:
-    """True where min_eig, interpolated bilinearly at (a, b) points, is >= -STATE_BODY_SLACK."""
-    a, b, f = pts[:, 0], pts[:, 1], grid.min_eig
-    ia = np.clip(np.searchsorted(grid.a_values, a) - 1, 0, len(grid.a_values) - 2)
-    ib = np.clip(np.searchsorted(grid.b_values, b) - 1, 0, len(grid.b_values) - 2)
-    ta = (a - grid.a_values[ia]) / (grid.a_values[ia + 1] - grid.a_values[ia])
-    tb = (b - grid.b_values[ib]) / (grid.b_values[ib + 1] - grid.b_values[ib])
-    interpolated = (
-        f[ia, ib] * (1 - ta) * (1 - tb)
-        + f[ia + 1, ib] * ta * (1 - tb)
-        + f[ia, ib + 1] * (1 - ta) * tb
-        + f[ia + 1, ib + 1] * ta * tb
-    )
-    return interpolated >= -STATE_BODY_SLACK
-
-
-def _restrict_to_state_body(grid: ScanGrid, lines):
-    """Keep only polyline points inside the state body, splitting where cut."""
-    out = []
-    for line in lines:
-        inside = np.concatenate(([False], _in_state_body(grid, line), [False]))
-        # runs of inside points start and stop where the padded mask flips
-        flips = np.flatnonzero(inside[1:] != inside[:-1])
-        for start, stop in zip(flips[::2].tolist(), flips[1::2].tolist()):
-            if stop - start >= 2:
-                out.append(line[start:stop])
-    return out
+        inside &= r <= r_state
+    if whole_turn:
+        if inside.all():
+            return [np.vstack([pts, pts[:1]])]
+        # start at an outside angle, so that no arc is cut at theta = 0
+        start = np.argmin(inside)
+        pts, inside = np.roll(pts, -start, axis=0), np.roll(inside, -start)
+    # runs of inside points start and stop where the padded mask flips
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], inside, [False]))))
+    return [pts[start:stop] for start, stop in zip(flips[::2].tolist(), flips[1::2].tolist()) if stop - start >= 2]
 
 
 # ---------------------------------------------------------------------------

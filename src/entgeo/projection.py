@@ -17,13 +17,12 @@ PSD, for PT spectra (PPT; the negativity and the robustness read 0), scan
 cells (``ScanGrid.is_state``, ``is_ppt``) and rho_s, which is borderline
 (``ProjectionBatch.borderline``: PSD only by the input tolerance) in [-1e-9,
 -1e-10): exact zero eigenvalues read as roundoff of either sign are not
-borderline. Contour points whose interpolated least eigenvalue is >=
--``STATE_BODY_SLACK`` (1e-6) are in the state body. Two thresholds are
-display and geometry bounds, not part of this policy: the printed rho_s
-shows an imaginary part only above 5e-7, half a unit in the last printed
-place of ``%+9.6f``, and ``build_plane`` rejects an anchor, or the second
-anchor's part orthogonal to the first, of HS norm below 1e-12 around I/n as
-a degenerate plane. Only
+borderline. Contours need no tolerance: ``geometry.boundary_contours``
+compares exact radii. Two thresholds are display and geometry bounds, not
+part of this policy: the printed rho_s shows an imaginary part only above
+5e-7, half a unit in the last printed place of ``%+9.6f``, and
+``build_plane`` rejects an anchor, or the second anchor's part orthogonal to
+the first, of HS norm below 1e-12 around I/n as a degenerate plane. Only
 :func:`closest_pt_states` checks a matrix, the caller's stack; the rho_s
 built here goes straight to LAPACK.
 """
@@ -38,7 +37,6 @@ from .linalg import DEFAULT_TOL, eig_hermitian
 from .states import partial_transpose
 
 PPT_EIG_TOL = 1e-10
-STATE_BODY_SLACK = 1e-6
 
 
 def above_noise_floor(min_eig):

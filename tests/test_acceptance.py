@@ -23,9 +23,8 @@ from entgeo import (
 )
 from entgeo.projection import above_noise_floor
 
-import reference_geometry as ref
 from reference_geometry import state_at
-from test_geometry import grid_step, max_perpendicular_deviation, radial_errors, split_into_straight_runs
+from test_geometry import in_state_body, max_perpendicular_deviation, radial_errors, split_into_straight_runs
 from test_projection import simplex_oracle
 
 SQRT2 = np.sqrt(2.0)
@@ -202,11 +201,11 @@ def test_criterion_7_geometry_reproduction():
         start = time.perf_counter()
         plane = build_plane(make_named("bell_psi_plus"), make_named(f"{tag}_rho2"))
         grid = scan_plane(plane, (-0.9, 0.9, 401), (-0.9, 0.9, 401))
-        tol = 2 * grid_step(grid)
+        tol = 1e-12
         worst = 0.0
         for level in (0.1, 0.2, 0.3, 0.5):
             for line in boundary_contours(grid, "negativity", level):
-                pts = ref.points_in_state_body(grid, line)
+                pts = in_state_body(plane, line)
                 if len(pts) < 10:
                     continue
                 for run in split_into_straight_runs(pts, tol):
@@ -221,12 +220,10 @@ def test_criterion_7_geometry_reproduction():
     grid = scan_plane(plane, (-0.9, 0.9, 401), (-0.9, 0.9, 401))
     # the PPT boundary and the negativity-0.2 contour at the radii of the
     # exact similarity law r_N = r_PPT * (1 + n*N/2)
-    h = grid_step(grid)
     radial = max(np.max(radial_errors(grid, kind, level)) for kind, level in [("ppt_boundary", 0.0), ("negativity", 0.2)])
-    ok &= radial <= 2 * h
+    ok &= radial <= 1e-12
 
-    # extracted PPT-boundary points annihilate det(rho^PT) within the local
-    # gradient-scaled threshold
+    # extracted PPT-boundary points annihilate det(rho^PT)
 
     def det_pt(a, b):
         m = state_at(plane, a, b)
@@ -235,11 +232,7 @@ def test_criterion_7_geometry_reproduction():
     det_ok = True
     for line in boundary_contours(grid, "ppt_boundary"):
         for a, b in line[::5]:
-            grad = np.hypot(
-                (det_pt(a + h, b) - det_pt(a - h, b)) / (2 * h),
-                (det_pt(a, b + h) - det_pt(a, b - h)) / (2 * h),
-            )
-            det_ok &= abs(det_pt(a, b)) <= 2 * h * grad + 1e-12
+            det_ok &= abs(det_pt(a, b)) <= 1e-12
     elapsed = time.perf_counter() - start
     ok &= det_ok and elapsed < 60.0
     details.append(

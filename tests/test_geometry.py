@@ -16,11 +16,9 @@ from entgeo import (
 )
 from entgeo import geometry
 from entgeo.cli import resolve_plane
-from entgeo.geometry import _marching_squares
 from entgeo.projection import above_noise_floor
 from entgeo.states import DensityMatrix, partial_transpose
 
-import reference_geometry as ref
 from reference_geometry import state_at
 
 SQRT3 = np.sqrt(3.0)
@@ -63,16 +61,44 @@ def exact_radius(plane, theta, kind, level=0.0):
     return (level / 2 + 1 / plane.n) / -mu
 
 
+def in_state_body(plane, pts):
+    """The (a, b) points no farther from I/n than the state boundary on their ray."""
+    pts = np.asarray(pts).reshape(-1, 2)
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) <= exact_radius(plane, theta, "state_boundary")]
+
+
 def radial_errors(grid, kind, level=0.0):
     """|r - exact radius| at every contour point; negativity points only inside the state body."""
     lines = boundary_contours(grid, kind, level)
     pts = np.vstack(lines) if lines else np.empty((0, 2))
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    r = np.hypot(pts[:, 0], pts[:, 1])
     if kind == "negativity":
-        inside = r <= exact_radius(grid.plane, theta, "state_boundary")
-        theta, r = theta[inside], r[inside]
-    return np.abs(r - exact_radius(grid.plane, theta, kind, level))
+        pts = in_state_body(grid.plane, pts)
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    return np.abs(np.hypot(pts[:, 0], pts[:, 1]) - exact_radius(grid.plane, theta, kind, level))
+
+
+def law_residuals(plane, kind, level, lines):
+    """At every vertex, from eigvalsh of its own matrix: |least eigenvalue| (state
+    boundary), |least PT eigenvalue| (PPT boundary) or |negativity - level|."""
+    pts = np.vstack(lines)
+    m = state_at(plane, pts[:, 0], pts[:, 1])
+    if kind == "state_boundary":
+        return np.abs(np.linalg.eigvalsh(m)[:, 0])
+    d = np.linalg.eigvalsh(partial_transpose(m, plane.dims))
+    return np.abs(d[:, 0] if kind == "ppt_boundary" else pt_negativity(d) - level)
+
+
+def chord_sags(plane, kind, level, line):
+    """Per chord of a polyline, the largest distance from the exact curve to it, at 8 angles between its ends."""
+    theta = np.arctan2(line[:, 1], line[:, 0])
+    step = np.angle(np.exp(1j * np.diff(theta)))
+    phi = theta[:-1, None] + step[:, None] * (np.arange(1, 9) / 9)
+    curve = exact_radius(plane, phi, kind, level)[..., None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    rel = curve - line[:-1, None]
+    chord = (line[1:] - line[:-1])[:, None]
+    cross = rel[..., 0] * chord[..., 1] - rel[..., 1] * chord[..., 0]
+    return np.max(np.abs(cross) / np.hypot(chord[..., 0], chord[..., 1]), axis=1)
 
 
 def hs_plane(dims, seeds=(1, 2)):
@@ -361,69 +387,14 @@ class TestScanAgainstDirectSolves:
         assert_matches_direct_solves(resolve_plane("random:1"), rng, rng)
 
 
-class TestMarchingSquares:
-    def test_circle_field(self):
-        xs = np.linspace(-2, 2, 201)
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        f = 1.0 - xx**2 - yy**2
-        lines = _marching_squares(xs, xs, f)
-        assert len(lines) == 1
-        pts = lines[0]
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        assert np.max(np.abs(radii - 1.0)) <= 1e-3
-        # closed loop
-        assert np.allclose(pts[0], pts[-1])
-
-    def test_straight_line_field(self):
-        xs = np.linspace(0, 1, 51)
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        lines = _marching_squares(xs, xs, xx + yy - 1.0)
-        assert len(lines) == 1
-        assert max_perpendicular_deviation(lines[0]) <= 1e-12
-
-    def test_empty_contour(self):
-        xs = np.linspace(0, 1, 11)
-        f = np.ones((11, 11))
-        assert _marching_squares(xs, xs, f) == []
-
-    def test_transpose_gives_the_same_nodes(self):
-        # a crossing is interpolated from its grid edge's lower node, and a
-        # saddle's corner sum adds opposite corners first; transposing keeps
-        # both, so the segments, and with them the nodes, agree bitwise with
-        # a and b swapped
-        def segments(lines, swap):
-            out = []
-            for line in lines:
-                pts = [(b, a) if swap else (a, b) for a, b in line.tolist()]
-                out += [tuple(sorted(pair)) for pair in zip(pts, pts[1:])]
-            return sorted(out)
-
-        rng = np.random.default_rng(16)
-        # a saddle whose corners sum to 0.0 in one order and to -1.1e-16 in the transposed one
-        fields = [np.array([[0.8132702392002724, -1.1193900407108144], [-0.6066357757671799, 0.9127555772777217]])]
-        for _ in range(200):
-            shape = tuple(rng.integers(2, 10, size=2))
-            # half-integers put exact zeros on grid nodes
-            fields.append(np.where(rng.random(shape) < 0.3, rng.integers(-2, 3, shape) / 2, rng.standard_normal(shape)))
-        for f in fields:
-            a_values = np.linspace(0.0, 1.0, f.shape[0])
-            b_values = np.linspace(-0.5, 0.7, f.shape[1])
-            got = segments(_marching_squares(a_values, b_values, f), swap=False)
-            assert got == segments(_marching_squares(b_values, a_values, f.T), swap=True)
-
-    def test_saddle_resolved_by_center(self):
-        xs = np.array([0.0, 1.0])
-        f = np.array([[1.0, -1.0], [-1.0, 3.0]])  # center mean = 0.5 >= 0
-        lines = _marching_squares(xs, xs, f)
-        assert len(lines) == 2
-
-
 class TestBoundaryContours:
     def test_state_boundary_is_closed_convex(self, ff1_grid):
         lines = boundary_contours(ff1_grid, "state_boundary")
         assert len(lines) == 1
         pts = lines[0]
-        assert np.allclose(pts[0], pts[-1])
+        # one vertex at each of 2 * (401 - 1) angles, the first repeated to close the loop
+        assert len(pts) == 801
+        assert np.array_equal(pts[0], pts[-1])
         # convexity defect: every point close to the hull of the curve
         center = pts.mean(axis=0)
         centered = pts - center
@@ -456,31 +427,80 @@ class TestBoundaryContours:
             assert np.min(np.hypot(pts[:, 0] - edge[0], pts[:, 1] - edge[1])) <= grid_step(g)
 
     def test_ppt_boundary_det_zero(self, ff1_grid):
-        g = ff1_grid
-        plane = g.plane
-        h = grid_step(g)
-
-        def det_pt(a, b):
-            m = state_at(plane, a, b)
-            return np.linalg.det(partial_transpose(m, (2, 2))).real
-
-        for line in boundary_contours(g, "ppt_boundary"):
-            for a, b in line[::5]:
-                grad = np.hypot(
-                    (det_pt(a + h, b) - det_pt(a - h, b)) / (2 * h),
-                    (det_pt(a, b + h) - det_pt(a, b - h)) / (2 * h),
-                )
-                assert abs(det_pt(a, b)) <= 2 * h * grad + 1e-12
+        plane = ff1_grid.plane
+        for line in boundary_contours(ff1_grid, "ppt_boundary"):
+            m = state_at(plane, line[:, 0], line[:, 1])
+            assert np.max(np.abs(np.linalg.det(partial_transpose(m, (2, 2))))) <= 1e-12
 
     def test_negativity_one_degenerates_at_bell(self, ff1_grid):
         lines = boundary_contours(ff1_grid, "negativity", 0.95)
-        pts = ref.points_in_state_body(ff1_grid, np.vstack(lines))
+        pts = in_state_body(ff1_grid.plane, np.vstack(lines))
         assert len(pts) > 0
         dist = np.hypot(pts[:, 0] - SQRT3 / 2, pts[:, 1])
         assert np.max(dist) <= 0.05
-        top = ref.points_in_state_body(ff1_grid, np.vstack(boundary_contours(ff1_grid, "negativity", 1.0)))
+        top = in_state_body(ff1_grid.plane, np.vstack(boundary_contours(ff1_grid, "negativity", 1.0)))
         # the level-1 set is the single point rho_1
         assert all(np.hypot(a - SQRT3 / 2, b) <= 2 * grid_step(ff1_grid) for a, b in top)
+
+    def test_ppt_arc_is_not_cut_at_theta_zero(self, ff1_grid):
+        # the arc runs through the Werner direction theta = 0 (r = sqrt(3)/6) and
+        # leaves the state body elsewhere: the turn splits at an outside angle
+        lines = boundary_contours(ff1_grid, "ppt_boundary")
+        assert len(lines) == 1
+        assert not np.array_equal(lines[0][0], lines[0][-1])
+        assert np.min(np.hypot(lines[0][:, 0] - SQRT3 / 6, lines[0][:, 1])) <= 1e-12
+
+    def test_pure_product_state_stays_on_the_ppt_boundary(self):
+        # |00><00| lies on both boundaries: on its ray r_PPT = r_state, and the PPT boundary keeps the vertex
+        product = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), (2, 2))
+        grid = scan_plane(build_plane(product, make_named("bell_psi_plus")), (-0.9, 0.9, 101), (-0.9, 0.9, 101))
+        for kind in ("state_boundary", "ppt_boundary"):
+            pts = np.vstack(boundary_contours(grid, kind))
+            assert np.min(np.hypot(pts[:, 0] - SQRT3 / 2, pts[:, 1])) <= 1e-12, kind
+
+    @pytest.mark.parametrize("level", [0.0, -0.1])
+    def test_nonpositive_levels_have_no_contour(self, ff1_grid, level):
+        # N - level >= 0 on the whole plane
+        assert boundary_contours(ff1_grid, "negativity", level) == []
+
+    def test_two_by_three_plane(self):
+        # a 2x3 PT has up to 3 negative eigenvalues off the state body, and N is
+        # linear in r on each piece between them
+        plane = hs_plane((2, 3))
+        grid = scan_plane(plane, (-0.9, 0.9, 61), (-0.9, 0.9, 61))
+        for kind, level in [("state_boundary", 0.0), ("ppt_boundary", 0.0), ("negativity", 0.1), ("negativity", 1.0)]:
+            lines = boundary_contours(grid, kind, level)
+            assert lines, (kind, level)
+            assert np.max(law_residuals(plane, kind, level, lines)) <= 1e-12, (kind, level)
+        # the vertices of level 1
+        pts = np.vstack(lines)
+        d = np.linalg.eigvalsh(partial_transpose(state_at(plane, pts[:, 0], pts[:, 1]), plane.dims))
+        negatives = np.sum(d < 0, axis=1)
+        assert (negatives >= 2).all() and (negatives == 3).any()
+
+    @pytest.mark.parametrize(
+        "a_range, b_range",
+        [((0.2, 0.9), (0.2, 0.9)), ((0.2, 0.9), (-0.3, 0.3)), ((-0.9, -0.2), (-0.3, 0.3)), ((0.5, 0.51), (0.5, 0.51))],
+    )
+    @pytest.mark.parametrize("spec", ["ff1", "ff3", "random:1"])
+    def test_windows_without_the_center(self, spec, a_range, b_range):
+        # the angles spread over the window as seen from I/n; every vertex is in the closed window
+        plane = resolve_plane(spec)
+        grid = scan_plane(plane, (*a_range, 101), (*b_range, 101))
+        lo, hi = np.array([a_range[0], b_range[0]]), np.array([a_range[1], b_range[1]])
+        for kind, level in [("state_boundary", 0.0), ("ppt_boundary", 0.0), ("negativity", 0.2), ("negativity", 0.5)]:
+            lines = boundary_contours(grid, kind, level)
+            assert all(len(line) >= 2 and ((line >= lo) & (line <= hi)).all() for line in lines)
+            if lines:
+                assert np.max(law_residuals(plane, kind, level, lines)) <= 1e-12, (kind, level)
+        state = boundary_contours(grid, "state_boundary")
+        if a_range == (0.5, 0.51):
+            # at most 0.01 wide, 0.7 away: the state boundary of ff3 crosses it
+            assert bool(state) == (spec == "ff3")
+        else:
+            # one arc, across theta = 0 or pi where the window straddles b = 0
+            assert len(state) == 1
+            assert b_range[0] > 0 or (state[0][:, 1].min() < 0 < state[0][:, 1].max())
 
     def test_unknown_kind(self, ff1_grid):
         with pytest.raises(ValueError, match="unknown contour kind"):
@@ -502,26 +522,26 @@ class TestReferenceFigures:
         checked = 0
         for level in (0.1, 0.3, 0.5):
             for line in boundary_contours(grid, "negativity", level):
-                pts = ref.points_in_state_body(grid, line)
+                pts = in_state_body(grid.plane, line)
                 if len(pts) < 10:
                     continue
                 checked += 1
-                assert max_perpendicular_deviation(pts) <= 2 * grid_step(grid)
+                assert max_perpendicular_deviation(pts) <= 1e-12
         assert checked >= 3
 
     def test_ff8_contours_are_piecewise_straight(self):
         grid = scan_plane(ff_plane("ff8"), (-0.9, 0.9, 401), (-0.9, 0.9, 401))
         for level in (0.1, 0.3, 0.5):
             for line in boundary_contours(grid, "negativity", level):
-                pts = ref.points_in_state_body(grid, line)
+                pts = in_state_body(grid.plane, line)
                 if len(pts) < 10:
                     continue
-                runs = split_into_straight_runs(pts, 2 * grid_step(grid))
+                runs = split_into_straight_runs(pts, 1e-12)
                 long_runs = [r for r in runs if len(r) >= 10]
                 covered = sum(len(r) for r in long_runs)
                 assert covered >= 0.9 * len(pts)
                 for run in long_runs:
-                    assert max_perpendicular_deviation(run) <= 2 * grid_step(grid)
+                    assert max_perpendicular_deviation(run) <= 1e-12
 
     @pytest.mark.parametrize("spec", ["ff1", "ff3", "random:1"])
     def test_exact_radii_solve_the_spectral_conditions(self, spec):
@@ -549,13 +569,26 @@ class TestReferenceFigures:
 
     @pytest.mark.parametrize("spec", ["ff1", "ff2", "ff3", "ff4", "ff8", "random:1", "random:2"])
     def test_contours_follow_the_exact_polar_law(self, spec):
-        # marching squares against the similarity law, within one grid step
-        grid = scan_plane(resolve_plane(spec), (-0.9, 0.9, 101), (-0.9, 0.9, 101))
+        # every vertex at the radius of the similarity law, solving its own spectral
+        # condition, and the chords between vertices within a grid step of the curve:
+        # the sharpest cut the corners of the state body at pure states
+        plane = resolve_plane(spec)
+        grid = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
         for kind, level in [("state_boundary", 0.0), ("ppt_boundary", 0.0), ("negativity", 0.2), ("negativity", 0.5)]:
             errors = radial_errors(grid, kind, level)
             # both boundaries cross every plane here; random:1 has no negativity-0.2 point in the body
             assert len(errors) > 0 or kind == "negativity", kind
-            assert np.max(errors, initial=0.0) <= grid_step(grid), (kind, level)
+            assert np.max(errors, initial=0.0) <= 1e-12, (kind, level)
+            lines = boundary_contours(grid, kind, level)
+            assert lines and np.max(law_residuals(plane, kind, level, lines)) <= 1e-12, (kind, level)
+            for line in lines:
+                sags = chord_sags(plane, kind, level, line)
+                if kind == "negativity":
+                    # the two-qubit law holds where the PT has one negative eigenvalue: in the state body
+                    theta = np.arctan2(line[:, 1], line[:, 0])
+                    inside = np.hypot(line[:, 0], line[:, 1]) <= exact_radius(plane, theta, "state_boundary")
+                    sags = sags[inside[:-1] & inside[1:]]
+                assert np.max(sags, initial=0.0) <= grid_step(grid), (kind, level)
 
     def test_ff8_mirror_symmetry(self):
         # swapping the two Bell anchors is a local unitary, so the negativity
