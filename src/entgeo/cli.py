@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, projection, states
+from . import geometry, linalg, projection, states
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -93,15 +93,8 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-# States per batched block in cmd_stats at n = 4. A block holds
-# _STATS_BLOCK * 16 matrix elements whatever n, so the matrix stacks are
-# bounded whatever --samples and --dims are. The blocks are consecutive draws
-# from one stream, and every state is computed on its own, so the block size
-# changes no printed value.
-_STATS_BLOCK = 512
-
-# Upper bound on --samples: two qubits run at about 5 * 10^4 states/s, so a
-# run at the cap takes minutes, and a count like 2^64 would never finish.
+# Upper bound on --samples: two qubits run at about 1.3 * 10^5 states/s, so a
+# run at the cap takes about 80 s, and a count like 2^64 would never finish.
 MAX_SAMPLES = 10**7
 
 # Two-qubit NPT probability under the Hilbert-Schmidt measure: the PPT (here
@@ -113,7 +106,8 @@ def cmd_stats(args) -> int:
     da, db = args.dims
     n = da * db
     samples = args.samples
-    rows = max(1, _STATS_BLOCK * 16 // n**2)
+    # blocks of consecutive draws from one stream, each state computed on its own
+    rows = linalg.stack_rows(n)
     if args.seed < 0:
         raise ValueError(f"seeds must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import stack_rows
 from .projection import above_noise_floor, pt_negativity
 from .states import DensityMatrix, partial_transpose
-
-# Rays per batched eigensolve in scan_plane at n = 4, and cells per block of
-# spectra read back from them. An eigensolve stack holds _SCAN_BLOCK * 16
-# matrix elements whatever n, so the complex matrix stacks stay a few MB
-# whatever the resolution and the plane's dimension. eigvalsh works matrix by
-# matrix, so the block size does not change any value.
-_SCAN_BLOCK = 16384
 
 # Most steps per axis of a scan, checked before anything is built. The grid
 # and its CSV text take ~256 B per cell: `entgeo scan --plane random:1
@@ -130,6 +124,20 @@ def _rays(a_values, b_values):
     return a_values, b_values, np.arange(na * nb, dtype=np.int32), np.ones(na * nb, dtype=np.int32)
 
 
+def _spectra(plane, u, v, pt):
+    """Ascending spectra of u[i] A1 + v[i] A2, or of their partial transposes, in stacks of stack_rows(n).
+
+    A partial transpose permutes entries, so u A1^PT + v A2^PT has the bits of (u A1 + v A2)^PT.
+    """
+    f1, f2 = partial_transpose(np.stack([plane.a1, plane.a2]), plane.dims) if pt else (plane.a1, plane.a2)
+    rows = stack_rows(plane.n)
+    out = np.empty((len(u), plane.n))
+    for start in range(0, len(u), rows):
+        at = slice(start, start + rows)
+        out[at] = np.linalg.eigvalsh(u[at, None, None] * f1 + v[at, None, None] * f2)
+    return out
+
+
 def _on_rays(eigs, eigs_pt, ray, k):
     """min_eig, min_eig_pt and negativity of the points I/n + k X, X the matrix with spectra eigs[ray], eigs_pt[ray]."""
     n = eigs.shape[1]
@@ -164,32 +172,18 @@ def scan_plane(plane: Plane, a_range: tuple[float, float, int], b_range: tuple[f
     ray = np.cumsum(new, dtype=np.int32) - 1
     first = np.append(np.flatnonzero(new), len(keys))
 
-    a1_pt, a2_pt = partial_transpose(np.stack([plane.a1, plane.a2]), plane.dims)
-    min_eig = np.empty(na * nb)
-    min_eig_pt = np.empty(na * nb)
-    neg = np.empty(na * nb)
-    rows = max(1, _SCAN_BLOCK * 16 // plane.n**2)
+    # min_eig, min_eig_pt and negativity of every cell
+    fields = np.empty((3, na * nb))
+    rows = stack_rows(plane.n)
     for start in range(0, len(ray_keys), rows):
         block = ray_keys[start : start + rows]
-        u = u_a[block // nb, None, None]
-        v = u_b[block % nb, None, None]
-        eigs = np.linalg.eigvalsh(u * plane.a1 + v * plane.a2)
-        eigs_pt = np.linalg.eigvalsh(u * a1_pt + v * a2_pt)
+        u, v = u_a[block // nb], u_b[block % nb]
+        eigs, eigs_pt = _spectra(plane, u, v, pt=False), _spectra(plane, u, v, pt=True)
         stop = first[start + len(block)]
         for lo in range(first[start], stop, rows):
             at = slice(lo, min(lo + rows, stop))
-            c = cells[at]
-            min_eig[c], min_eig_pt[c], neg[c] = _on_rays(eigs, eigs_pt, ray[at] - start, scale[at])
-
-    shape = (na, nb)
-    return ScanGrid(
-        plane=plane,
-        a_values=a_values,
-        b_values=b_values,
-        min_eig=min_eig.reshape(shape),
-        min_eig_pt=min_eig_pt.reshape(shape),
-        negativity=neg.reshape(shape),
-    )
+            fields[:, cells[at]] = _on_rays(eigs, eigs_pt, ray[at] - start, scale[at])
+    return ScanGrid(plane, a_values, b_values, *fields.reshape(3, na, nb))
 
 
 def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
@@ -199,11 +193,12 @@ def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
     eigenvalue 0, inside the state body), or 'negativity' at the given level.
     Along the ray I/n + rB, B = cos(t) A1 + sin(t) A2, the spectra are
     1/n + r spec(B) and 1/n + r spec(B^PT), so each contour meets the ray once,
-    at a closed-form radius. With m = 2 * (max(na, nb) - 1), the m angles
-    spread over the whole turn when the window holds I/n, else over the
-    window's angular extent seen from I/n. The vertices inside the window
-    split into runs; a whole turn inside is one closed loop, its first point
-    repeated. Returns a list of (k, 2) arrays of (a, b) points, k >= 2.
+    at a closed-form radius; the spectra are solved in stacks of stack_rows(n).
+    With m = 2 * (max(na, nb) - 1), the m angles spread over the whole turn
+    when I/n is strictly inside the window, else over the window's angular
+    extent seen from I/n. The vertices inside the window split into runs; a
+    whole turn inside is one closed loop, its first point repeated. Returns a
+    list of (k, 2) arrays of (a, b) points, k >= 2.
     """
     if kind not in ("state_boundary", "ppt_boundary", "negativity"):
         raise ValueError(f"unknown contour kind {kind!r}")
@@ -214,24 +209,24 @@ def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
     lo = np.array([grid.a_values[0], grid.b_values[0]])
     hi = np.array([grid.a_values[-1], grid.b_values[-1]])
     m = 2 * (max(len(grid.a_values), len(grid.b_values)) - 1)
-    whole_turn = (lo <= 0).all() and (hi >= 0).all()
+    whole_turn = (lo < 0).all() and (hi > 0).all()
     if whole_turn:
         theta = np.arange(m) * (2 * np.pi / m)
     else:
-        # the window spans less than half a turn about I/n: measure its corners from its center's angle
+        # at most half a turn about I/n: measure the corners from the center's angle; a corner at I/n
+        # has no direction, and arctan2(0, 0) = 0 would widen the range
         mid = np.arctan2(lo[1] + hi[1], lo[0] + hi[0])
-        corners = np.arctan2([lo[1], lo[1], hi[1], hi[1]], [lo[0], hi[0], lo[0], hi[0]]) - mid
-        turn = np.angle(np.exp(1j * corners))
+        corners = np.array([(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) if x or y])
+        turn = np.angle(np.exp(1j * (np.arctan2(corners[:, 1], corners[:, 0]) - mid)))
         theta = mid + np.linspace(turn.min(), turn.max(), m)
     rays = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    b = rays[:, :1, None] * plane.a1 + rays[:, 1:, None] * plane.a2
     # B and B^PT are traceless and nonzero: their least eigenvalue is negative
     if kind != "negativity":
-        r_state = -1 / (n * np.linalg.eigvalsh(b)[:, 0])
+        r_state = -1 / (n * _spectra(plane, *rays.T, pt=False)[:, 0])
     if kind == "state_boundary":
         r = r_state
     else:
-        mu = np.linalg.eigvalsh(partial_transpose(b, plane.dims))
+        mu = _spectra(plane, *rays.T, pt=True)
         if kind == "ppt_boundary":
             r = -1 / (n * mu[:, 0])
         else:

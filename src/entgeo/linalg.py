@@ -10,8 +10,10 @@ order, then hands (A + A^dagger)/2 to ``np.linalg.eigh`` and returns its
 The checks run once, where a matrix enters: :func:`eig_hermitian` for a
 caller's stack (``closest_pt_states``), ``validate_state`` for a state
 (``state_from_json`` goes through it). Stacks the program builds itself
-(sampled states, rho_s, plane cells) go straight to ``np.linalg.eigh`` or
-``eigvalsh``.
+(sampled states, rho_s, plane rays, contour angles) go straight to
+``np.linalg.eigh`` or ``eigvalsh``, :func:`stack_rows` matrices at a time, so
+their memory is bounded whatever the sample count, resolution or n. Each
+matrix is solved on its own, so the stack size changes no value.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# matrix elements per stack the program builds itself; 128 kB of complex128
+STACK_ELEMENTS = 2**13
+
+
+def stack_rows(n: int) -> int:
+    """Matrices per stack of n x n matrices: STACK_ELEMENTS // n^2, and at least one."""
+    return max(1, STACK_ELEMENTS // n**2)
 
 
 def asymmetry(a: np.ndarray):

@@ -329,7 +329,7 @@ class TestStats:
         "dims, samples, sizes", [("2x2", 1025, [512, 512, 1]), ("3x4", 120, [56, 56, 8]), ("4x4", 70, [32, 32, 6])]
     )
     def test_blocks_bound_matrix_elements(self, capsys, monkeypatch, dims, samples, sizes):
-        # _STATS_BLOCK * 16 // n^2 states per block
+        # STACK_ELEMENTS // n^2 states per block
         seen = []
         sample = cli.states.sample_hs_random_stack
 
@@ -351,7 +351,7 @@ class TestStats:
     def test_block_size_does_not_change_output(self, capsys, monkeypatch):
         argv = ["stats", "--samples", "300", "--seed", "4", "--dims", "2x3"]
         _, out1, _ = run(capsys, *argv)
-        monkeypatch.setattr(cli, "_STATS_BLOCK", 7)
+        monkeypatch.setattr(linalg, "STACK_ELEMENTS", 7 * 16)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 

@@ -14,7 +14,7 @@ from entgeo import (
     sample_hs_random_stack,
     scan_plane,
 )
-from entgeo import geometry
+from entgeo import geometry, linalg
 from entgeo.cli import resolve_plane
 from entgeo.projection import above_noise_floor
 from entgeo.states import DensityMatrix, partial_transpose
@@ -299,19 +299,20 @@ class TestScanPlane:
     def test_block_size_does_not_change_output(self, monkeypatch):
         plane = ff_plane("ff2")
         g1 = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
-        monkeypatch.setattr(geometry, "_SCAN_BLOCK", 7)
+        monkeypatch.setattr(linalg, "STACK_ELEMENTS", 7 * 16)
         g2 = scan_plane(plane, (-0.9, 0.9, 101), (-0.9, 0.9, 101))
         assert grid_to_csv(g1) == grid_to_csv(g2)
 
     @pytest.mark.parametrize(
         "dims, block, resolution",
-        [((2, 2), 16384, 129), ((2, 4), 16384, 65), ((4, 4), 16384, 33), ((6, 6), 16384, 15), ((2, 4), 3, 3)],
+        [((2, 2), 16384, 129), ((2, 4), 16384, 65), ((4, 4), 16384, 33), ((6, 6), 16384, 15), ((2, 4), 3, 3)]
+        + [((2, 2), 512, 129), ((6, 6), 512, 15)],
     )
     def test_eigensolve_stacks_bound_matrix_elements(self, monkeypatch, dims, block, resolution):
-        # _SCAN_BLOCK * 16 // n^2 matrices per stack, and at least one
+        # block matrices per stack at n = 4: STACK_ELEMENTS // n^2, and at least one
         n = dims[0] * dims[1]
         plane = hs_plane(dims)
-        monkeypatch.setattr(geometry, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(linalg, "STACK_ELEMENTS", block * 16)
         shapes = record_solves(monkeypatch)
         for lo in (-0.1, -0.05):
             scan_plane(plane, (lo, 0.1, resolution), (-0.1, 0.1, resolution))
@@ -480,11 +481,13 @@ class TestBoundaryContours:
 
     @pytest.mark.parametrize(
         "a_range, b_range",
-        [((0.2, 0.9), (0.2, 0.9)), ((0.2, 0.9), (-0.3, 0.3)), ((-0.9, -0.2), (-0.3, 0.3)), ((0.5, 0.51), (0.5, 0.51))],
+        [((0.2, 0.9), (0.2, 0.9)), ((0.2, 0.9), (-0.3, 0.3)), ((-0.9, -0.2), (-0.3, 0.3)), ((0.5, 0.51), (0.5, 0.51))]
+        + [((0.0, 0.9), (-0.3, 0.3)), ((0.0, 0.9), (0.0, 0.9)), ((-0.9, 0.0), (-0.9, 0.0))],
     )
     @pytest.mark.parametrize("spec", ["ff1", "ff3", "random:1"])
     def test_windows_without_the_center(self, spec, a_range, b_range):
-        # the angles spread over the window as seen from I/n; every vertex is in the closed window
+        # the angles spread over the window as seen from I/n, also where I/n is
+        # on its edge or a corner; every vertex is in the closed window
         plane = resolve_plane(spec)
         grid = scan_plane(plane, (*a_range, 101), (*b_range, 101))
         lo, hi = np.array([a_range[0], b_range[0]]), np.array([a_range[1], b_range[1]])
@@ -500,7 +503,28 @@ class TestBoundaryContours:
         else:
             # one arc, across theta = 0 or pi where the window straddles b = 0
             assert len(state) == 1
-            assert b_range[0] > 0 or (state[0][:, 1].min() < 0 < state[0][:, 1].max())
+            assert not b_range[0] < 0 < b_range[1] or state[0][:, 1].min() < 0 < state[0][:, 1].max()
+        # from I/n on an edge the window spans half a turn, from a corner a
+        # quarter, so most of the 200 angles meet it; spread over the whole
+        # turn, 50 to 67 of them would
+        floors = {((0.0, 0.9), (-0.3, 0.3)): 90, ((0.0, 0.9), (0.0, 0.9)): 190, ((-0.9, 0.0), (-0.9, 0.0)): 190}
+        if (a_range, b_range) in floors:
+            assert len(state[0]) >= floors[a_range, b_range], len(state[0])
+
+    def test_contour_stacks_bound_matrix_elements(self, monkeypatch):
+        # every kind solves its angles in stacks of STACK_ELEMENTS // n^2 matrices, bit for bit
+        plane = hs_plane((4, 4))
+        grid = scan_plane(plane, (-0.9, 0.9, 41), (-0.9, 0.9, 41))
+        kinds = [("state_boundary", 0.0), ("ppt_boundary", 0.0), ("negativity", 0.1)]
+        want = [boundary_contours(grid, kind, level) for kind, level in kinds]
+        monkeypatch.setattr(linalg, "STACK_ELEMENTS", 3 * 256)
+        shapes = record_solves(monkeypatch)
+        got = [boundary_contours(grid, kind, level) for kind, level in kinds]
+        assert shapes and all(shape[1:] == (16, 16) for shape in shapes)
+        assert max(np.prod(shape) for shape in shapes) <= 3 * 256
+        # 80 angles, a spectrum for the state boundary, two for the PPT boundary and one for negativity
+        assert sum(shape[0] for shape in shapes) == 4 * 80
+        assert all(want) and all(len(g) == len(w) and all(np.array_equal(*p) for p in zip(g, w)) for g, w in zip(got, want))
 
     def test_unknown_kind(self, ff1_grid):
         with pytest.raises(ValueError, match="unknown contour kind"):
