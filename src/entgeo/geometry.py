@@ -196,9 +196,11 @@ def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
     at a closed-form radius; the spectra are solved in stacks of stack_rows(n).
     With m = 2 * (max(na, nb) - 1), the m angles spread over the whole turn
     when I/n is strictly inside the window, else over the window's angular
-    extent seen from I/n. The vertices inside the window split into runs; a
-    whole turn inside is one closed loop, its first point repeated. Returns a
-    list of (k, 2) arrays of (a, b) points, k >= 2.
+    extent seen from I/n. Where an edge of the window lies on an axis through
+    I/n, such as a = 0, the end angle toward it points along that axis, and its
+    vertex lies on the edge exactly, at a = 0. The vertices inside the window
+    split into runs; a whole turn inside is one closed loop, its first point
+    repeated. Returns a list of (k, 2) arrays of (a, b) points, k >= 2.
     """
     if kind not in ("state_boundary", "ppt_boundary", "negativity"):
         raise ValueError(f"unknown contour kind {kind!r}")
@@ -220,6 +222,9 @@ def boundary_contours(grid: ScanGrid, kind: str, level: float = 0.0):
         turn = np.angle(np.exp(1j * (np.arctan2(corners[:, 1], corners[:, 0]) - mid)))
         theta = mid + np.linspace(turn.min(), turn.max(), m)
     rays = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if not whole_turn:
+        # an end ray toward a corner on an axis lies on that axis exactly: cos(pi/2) is 6e-17, not 0
+        rays[[0, -1]] = np.where(corners[[turn.argmin(), turn.argmax()]] == 0, 0.0, rays[[0, -1]])
     # B and B^PT are traceless and nonzero: their least eigenvalue is negative
     if kind != "negativity":
         r_state = -1 / (n * _spectra(plane, *rays.T, pt=False)[:, 0])

@@ -48,36 +48,28 @@ def project_simplex_psd(d):
     """Euclidean projection of spectra onto the probability simplex {x >= 0, sum x = 1}, along the last axis.
 
     Returns (e_squared, lam, kept) with e2_i = max(d_i + lam, 0) and lam the
-    unique shift normalizing the sum. Sort-and-scan, exact in one pass: lam
-    comes from the largest k with ds_k + (1 - sum_{j<=k} ds_j)/k > 0
-    over the descending spectrum ds (Duchi et al. 2008; Condat 2016); ties
-    d_i + lam == 0 resolve to the zero branch. e_squared and the boolean
-    support mask kept have the spectra's shape (..., n), lam its leading shape.
+    unique shift normalizing the sum. Closed form (Duchi et al. 2008; Condat
+    2016): over the descending spectrum ds, every candidate (1 - sum_{j<=k}
+    ds_j)/k bounds lam from above, and the true support's size attains it, so
+    lam is the least candidate. The support is kept = d + lam > 0: ties
+    d_i + lam == 0 stay on the zero branch, and kept == (e2 > 0) holds on every
+    input. e_squared and the boolean support mask kept have the spectra's shape
+    (..., n), lam its leading shape. Raises ValueError where a row's support is
+    empty, which only happens where 1 - sum_{j<=k} ds_j loses every digit
+    (|d| near or above 2^53).
     """
     d = np.asarray(d, dtype=float)
     if d.ndim == 0 or d.shape[-1] == 0:
         raise ValueError("empty spectrum")
     if not np.isfinite(d).all():
         raise ValueError("spectrum must be finite")
-    n = d.shape[-1]
-    flat = d.reshape(-1, n)
-    rows = np.arange(len(flat))
-    order = np.argsort(flat, axis=1)[:, ::-1]  # descending
-    ds = flat[rows[:, None], order]
-    cand = (1.0 - np.cumsum(ds, axis=1)) / np.arange(1, n + 1)
-    holds = ds + cand > 0
-    # the last k where the condition holds; if it holds nowhere, lam = 0 and
-    # one index is kept
-    last = n - np.argmax(holds[:, ::-1], axis=1)
-    found = holds[rows, last - 1]
-    lam = np.where(found, cand[rows, last - 1], 0.0)
-    n_keep = np.where(found, last, 1)
-    shifted = flat + lam[:, None]
-    e2 = np.maximum(shifted, 0.0)
-    e2[shifted <= 0] = 0.0
-    kept = np.zeros(flat.shape, dtype=bool)
-    kept[rows[:, None], order] = np.arange(n) < n_keep[:, None]
-    return e2.reshape(d.shape), lam.reshape(d.shape[:-1]), kept.reshape(d.shape)
+    ds = np.sort(d, axis=-1)[..., ::-1]
+    lam = ((1.0 - np.cumsum(ds, axis=-1)) / np.arange(1, d.shape[-1] + 1)).min(axis=-1)
+    shifted = d + lam[..., None]
+    kept = shifted > 0
+    if not kept.any(axis=-1).all():
+        raise ValueError("spectrum has no simplex projection in floating point: empty support")
+    return np.where(kept, shifted, 0.0), lam, kept
 
 
 def distance_closed_form(d, kept):

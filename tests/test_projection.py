@@ -140,6 +140,42 @@ class TestProjectSimplexPsd:
         if min(abs(di + lam) for di in d) > 1e-9:
             assert set(support(kept)) == set(oracle_support)
 
+    @given(spectrum_strategy())
+    @settings(max_examples=500)
+    @example([-2 / 3, 1 / 3])  # the per-index loop kept a stray 1.1e-16 outside its support
+    def test_matches_per_index_loop(self, d):
+        e2, lam, kept = project_simplex_psd(d)
+        ref_e2, ref_lam, ref_kept = ref.project_simplex_psd(d)
+        if np.min(np.abs(np.asarray(d) + lam)) > 1e-12:
+            assert np.array_equal(e2, ref_e2) and lam == ref_lam and support(kept) == list(ref_kept)
+        else:
+            # at a tie d_i + lam == 0 the least candidate and the loop's last
+            # holding one may round apart
+            assert abs(lam - ref_lam) <= 2 * np.spacing(abs(ref_lam))
+        assert np.array_equal(kept, e2 > 0) and (e2 >= 0).all()
+        assert abs(e2.sum() - 1.0) <= 1e-12
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n), min_size=6, max_size=6)
+        )
+    )
+    @settings(max_examples=100)
+    def test_stack_matches_rows(self, rows):
+        d = np.reshape(rows, (3, 2, -1))
+        e2, lam, kept = project_simplex_psd(d)
+        assert e2.shape == kept.shape == d.shape and lam.shape == (3, 2)
+        for i, j in np.ndindex(3, 2):
+            row_e2, row_lam, row_kept = project_simplex_psd(d[i, j])
+            assert np.array_equal(e2[i, j], row_e2) and lam[i, j] == row_lam and np.array_equal(kept[i, j], row_kept)
+
+    def test_empty_support_rejected(self):
+        # 1 - 1e17 rounds to -1e17, and every candidate shift leaves d + lam <= 0
+        with pytest.raises(ValueError, match="empty support"):
+            project_simplex_psd([1e17, 1.0, -1e17])
+        with pytest.raises(ValueError, match="empty support"):
+            project_simplex_psd([[0.5, 0.5, 0.0], [1e17, 1.0, -1e17]])
+
 
 class TestClosestPtState:
     def test_w_state_golden(self, w_state, w_rho_s):
