@@ -464,6 +464,33 @@ class TestBoundaryContours:
         # N - level >= 0 on the whole plane
         assert boundary_contours(ff1_grid, "negativity", level) == []
 
+    @pytest.mark.parametrize("level", [1e300, 1e308, np.finfo(float).max])
+    @pytest.mark.parametrize("spec", ["ff1", "ff3", "random:1"])
+    def test_huge_levels_have_no_contour(self, spec, level):
+        # N stays far below such a level in the window. The roots of the lines with -S_j 0 or
+        # denormal overflow to inf, and that raises nothing under the suite's error::RuntimeWarning
+        grid = scan_plane(resolve_plane(spec), (-0.9, 0.9, 21), (-0.9, 0.9, 21))
+        assert boundary_contours(grid, "negativity", level) == []
+
+    def test_boundaries_ignore_the_level(self, ff1_grid):
+        for kind in ("state_boundary", "ppt_boundary"):
+            got, want = boundary_contours(ff1_grid, kind, 0.5), boundary_contours(ff1_grid, kind)
+            assert len(got) == len(want) and all(np.array_equal(*p) for p in zip(got, want)), kind
+
+    @pytest.mark.parametrize("dims, ulps", [((2, 2), 0), ((2, 4), 0), ((2, 3), 2)])
+    def test_boundary_radii_are_one_over_n_least_eigenvalue(self, dims, ulps):
+        # at level 0 the least root is j = 1, r = (1/n) / |b_0|: bitwise -1/(n b_0) where 1/n is a
+        # power of two; where 1/n rounds, two roundings against two put it up to 2 ulps apart
+        plane = hs_plane(dims)
+        theta = np.linspace(0, 2 * np.pi, 2000, endpoint=False)
+        rays = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        b = np.cos(theta)[:, None, None] * plane.a1 + np.sin(theta)[:, None, None] * plane.a2
+        for pt in (False, True):
+            want = -1 / (plane.n * np.linalg.eigvalsh(partial_transpose(b, dims) if pt else b)[:, 0])
+            got = geometry._radii(plane, rays, pt, 0.0)
+            # positive doubles in order: the distance of their bits counts the ulps between them
+            assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= ulps, pt
+
     def test_two_by_three_plane(self):
         # a 2x3 PT has up to 3 negative eigenvalues off the state body, and N is
         # linear in r on each piece between them

@@ -242,6 +242,48 @@ class TestClosestPtState:
         assert not violations, f"{len(violations)}/{rank2} rank-2 cases had PSD rho_s"
 
 
+def haar_unitaries(rng, d, count):
+    """``count`` Haar-random d x d unitaries: QR of complex Ginibre matrices, each column's phase fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+CERTIFICATE_DIMS = [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]
+
+
+class TestCertificates:
+    """Properties of the projection from its mathematics, whatever algorithm computes it."""
+
+    @pytest.mark.parametrize("dims", CERTIFICATE_DIMS)
+    def test_projection_is_optimal(self, dims):
+        # sigma* = rho_s^PT is the projection of rho^PT onto the trace-1 PSD set iff it
+        # lies in the set and lambda_max(G) <= tr(G sigma*) for G = rho^PT - sigma*: the
+        # variational inequality on the pure states, whose hull is the set
+        rhos = sample_hs_random_stack(np.random.default_rng(1), dims[0] * dims[1], 500)
+        sigma = partial_transpose(closest_pt_states(rhos, dims).rho_s, dims)
+        assert np.max(np.abs(np.trace(sigma, axis1=1, axis2=2) - 1)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(sigma)[:, 0]) >= -1e-12
+        g = partial_transpose(rhos, dims) - sigma
+        excess = np.linalg.eigvalsh(g)[:, -1] - np.einsum("kij,kji->k", g, sigma).real
+        assert np.max(excess) <= 1e-12
+
+    @pytest.mark.parametrize("dims", CERTIFICATE_DIMS)
+    def test_local_unitary_covariance(self, dims):
+        # (U_A x U_B) rho (U_A x U_B)^dagger has the closest PT state (U_A x U_B) rho_s (U_A x U_B)^dagger
+        n, count = dims[0] * dims[1], 500
+        rng = np.random.default_rng(2)
+        rhos = sample_hs_random_stack(rng, n, count)
+        ua, ub = haar_unitaries(rng, dims[0], count), haar_unitaries(rng, dims[1], count)
+        u = np.einsum("kij,kab->kiajb", ua, ub).reshape(count, n, n)
+
+        def turned(m):
+            return u @ m @ u.conj().swapaxes(-1, -2)
+
+        got = closest_pt_states(turned(rhos), dims).rho_s
+        assert np.max(np.abs(got - turned(closest_pt_states(rhos, dims).rho_s))) <= 1e-12
+
+
 class TestRhoSLeastEigenvalue:
     """rho_s's least eigenvalue comes from the eigenvalue-only solver; its flags read as eigh's."""
 
